@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
 	"ufork/internal/kernel"
@@ -65,6 +66,12 @@ func TestGoldenContentionProfilerArmed(t *testing.T) {
 	}
 }
 
+// bklProfile is the quick-mode BKL profiled sweep, run once and shared
+// by the profdiff golden and the fold-determinism check.
+var bklProfile = sync.OnceValues(func() (*profile.Plane, error) {
+	return profDiffSweep(LocksBKL, YCSBKeysQuick, YCSBOpsQuick)
+})
+
 // TestGoldenProfDiff pins the cross-lock-regime profile diff: the
 // quick-mode YCSB coordinate profiled under bkl and smp must subtract
 // to the identical signed delta table every run.
@@ -72,28 +79,33 @@ func TestGoldenProfDiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profdiff sweep is quick-mode, not short-mode")
 	}
-	out, err := ProfDiff(YCSBKeysQuick, YCSBOpsQuick)
+	bkl, err := bklProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, out, "golden_profdiff.txt")
+	smp, err := profDiffSweep(LocksSMP, YCSBKeysQuick, YCSBOpsQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, renderProfDiff(bkl, smp), "golden_profdiff.txt")
 }
 
 // TestProfDiffFoldedDeterministic is the byte-determinism acceptance:
-// two identical seeded profiled sweeps fold to identical bytes.
+// two independent seeded profiled sweeps — the shared one and a fresh
+// one — fold to identical bytes.
 func TestProfDiffFoldedDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiled sweep is quick-mode, not short-mode")
 	}
-	fold := func() string {
-		pl := profile.New(0)
-		pl.Enable()
-		if err := profDiffSweep(LocksBKL, YCSBKeysQuick, YCSBOpsQuick, pl); err != nil {
-			t.Fatal(err)
-		}
-		return pl.Folded()
+	shared, err := bklProfile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := fold(), fold()
+	fresh, err := profDiffSweep(LocksBKL, YCSBKeysQuick, YCSBOpsQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := shared.Folded(), fresh.Folded()
 	if a != b {
 		t.Fatalf("identical seeded runs folded differently:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}

@@ -16,12 +16,14 @@ import (
 // ProfDiffTop bounds the rendered delta table.
 const ProfDiffTop = 10
 
-// profDiffSweep is the restricted sweep one side of the diff profiles:
-// one mix, the most parallel core count, one lock regime. Keeping the
-// coordinate small makes the experiment a quick-mode citizen; both
-// sides are fully seeded, so each snapshot — and the rendered diff —
-// is byte-deterministic run to run.
-func profDiffSweep(locks string, keys, ops int, pl *profile.Plane) error {
+// profDiffSweep profiles the restricted sweep one side of the diff
+// covers: one mix, the most parallel core count, one lock regime.
+// Keeping the coordinate small makes the experiment a quick-mode
+// citizen; both sides are fully seeded, so each profile — and the
+// rendered diff — is byte-deterministic run to run.
+func profDiffSweep(locks string, keys, ops int) (*profile.Plane, error) {
+	pl := profile.New(0)
+	pl.Enable()
 	rows, err := YCSBSweep(YCSBOpts{
 		Mixes:   []ycsb.Mix{ycsb.MixA},
 		Keys:    keys,
@@ -31,36 +33,29 @@ func profDiffSweep(locks string, keys, ops int, pl *profile.Plane) error {
 		Profile: pl,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return YCSBFailures(rows)
+	return pl, YCSBFailures(rows)
 }
 
-// ProfDiffSnapshots runs the profiled sweep under each lock regime and
-// returns the two aggregate profiles (bkl first).
-func ProfDiffSnapshots(keys, ops int) (bkl, smp profile.Snapshot, err error) {
-	for _, side := range []struct {
-		locks string
-		out   *profile.Snapshot
-	}{{LocksBKL, &bkl}, {LocksSMP, &smp}} {
-		pl := profile.New(0)
-		pl.Enable()
-		if err = profDiffSweep(side.locks, keys, ops, pl); err != nil {
-			return
-		}
-		*side.out = pl.Snapshot()
-	}
-	return
+// renderProfDiff renders the top signed per-stack deltas from the bkl
+// profile to the smp one.
+func renderProfDiff(bkl, smp *profile.Plane) string {
+	return profile.RenderDiff(profile.Diff(bkl.Snapshot(), smp.Snapshot()), ProfDiffTop,
+		"locks="+LocksBKL, "locks="+LocksSMP)
 }
 
 // ProfDiff runs the cross-lock-regime profile diff and renders the top
 // signed per-stack deltas (negative = virtual time the split-lock
 // kernel no longer spends there).
 func ProfDiff(keys, ops int) (string, error) {
-	bkl, smp, err := ProfDiffSnapshots(keys, ops)
+	bkl, err := profDiffSweep(LocksBKL, keys, ops)
 	if err != nil {
 		return "", err
 	}
-	return profile.RenderDiff(profile.Diff(bkl, smp), ProfDiffTop,
-		"locks="+LocksBKL, "locks="+LocksSMP), nil
+	smp, err := profDiffSweep(LocksSMP, keys, ops)
+	if err != nil {
+		return "", err
+	}
+	return renderProfDiff(bkl, smp), nil
 }

@@ -84,23 +84,45 @@ type PID int
 
 // ForkStats reports the work a fork performed; the benchmark harness uses
 // it for per-experiment accounting.
+//
+// The six phase fields are the only record of a fork's cost. Engines fill
+// the phases that apply to them and the kernel fills FixupTime (FD
+// duplication + fixed fork cost); the kernel then sets Latency to the
+// phase sum, charges the parent phase by phase, and derives every export
+// — tracer spans, fork.phase.* histograms, profiler labels — from them.
 type ForkStats struct {
-	Latency        sim.Time // virtual time the fork call consumed
+	Latency        sim.Time // virtual time the fork call consumed: the phase sum
 	PTEsCopied     int
 	PagesCopied    int // frames physically duplicated during the fork call
 	CapsRelocated  int // capabilities rewritten during the fork call
 	ProactivePages int // GOT + allocator-metadata pages copied eagerly
 
-	// Phase breakdown of Latency (the §6-style accounting the tracer
-	// exports): engines fill the phases that apply to them. The kernel
-	// fills FixupTime (FD duplication + fixed fork cost). Phases sum to
-	// Latency.
-	ReserveTime   sim.Time // contiguous region reservation
+	ReserveTime   sim.Time // region reservation / address-space creation
 	PTECopyTime   sim.Time // bulk page-table-entry copy
 	EagerCopyTime sim.Time // frames physically copied during the call
 	ScanTime      sim.Time // tag-plane scans + capability relocation
 	RegTime       sim.Time // capability register-file relocation
 	FixupTime     sim.Time // kernel-side FD dup + fixed cost
+}
+
+// forkPhase is one slice of a fork's cost. name is its tracer span, label
+// its profiler phase frame and hist its registry histogram.
+type forkPhase struct {
+	name, label, hist string
+	d                 sim.Time
+}
+
+// phases lists s's cost in charge order, kernel-side fixup last. It is
+// the one table fork's exports walk.
+func (s *ForkStats) phases() [6]forkPhase {
+	return [6]forkPhase{
+		{"reserve", "fork:reserve", "fork.phase.reserve", s.ReserveTime},
+		{"ptecopy", "fork:ptecopy", "fork.phase.ptecopy", s.PTECopyTime},
+		{"eagercopy", "fork:eagercopy", "fork.phase.eagercopy", s.EagerCopyTime},
+		{"scan", "fork:scan", "fork.phase.scan", s.ScanTime},
+		{"reg", "fork:reg", "fork.phase.reg", s.RegTime},
+		{"fixup", "fork:fixup", "fork.phase.fixup", s.FixupTime},
+	}
 }
 
 // ForkEngine is the strategy that implements fork: μFork (internal/core),
@@ -112,8 +134,9 @@ type ForkEngine interface {
 	// Fork duplicates parent into a newly allocated child Proc. The child's
 	// address space, region, registers, and pending-copy state must be
 	// fully initialised; the kernel handles PID assignment, FD duplication
-	// and task creation. Fork returns statistics including the virtual-time
-	// latency to charge the parent.
+	// and task creation. Fork returns its work counts and fills the phase
+	// fields it incurred; it leaves Latency and FixupTime to the kernel,
+	// which charges the phase sum to the parent.
 	Fork(k *Kernel, parent, child *Proc) (ForkStats, error)
 	// HandleFault resolves a page fault raised by proc p (CoW / CoA / CoPA
 	// resolution). It returns an error when the fault is a genuine

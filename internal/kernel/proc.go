@@ -230,8 +230,8 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 		if tmemHeld {
 			p.k.locks.tmem.Unlock(p.Task)
 		}
-		sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA))
 		if err != nil {
+			sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA))
 			p.k.profFaultEnd(p, pmark, "fault:error")
 			// Double-wrap so errors.Is sees both the segfault and the
 			// handler's cause (e.g. an injected tmem.ErrOutOfMemory).
@@ -268,6 +268,16 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 			}
 		}
 		p.k.profFaultEnd(p, pmark, "fault:"+faultModeNames[mode])
+		if sp.Active() {
+			// The fault span closes on the kernel's classification of the
+			// resolution, so it names the copy mode the handler chose.
+			sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA),
+				obs.S("mode", faultModeNames[mode]),
+				obs.A("pages-copied", copied), obs.A("caps", relocs))
+			if mode != 0 {
+				p.k.Obs.Reg.Counter("fault.copy-relocate").Inc()
+			}
+		}
 		if mode != 0 {
 			// The resolution broke sharing: the faulting page's frame is now
 			// exclusively owned by p (a fresh copy for CoW/CoPA, the adopted

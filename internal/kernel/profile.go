@@ -140,69 +140,3 @@ func (k *Kernel) profFaultEnd(p *Proc, mark int, label string) {
 	}
 	p.profBuf = p.profBuf[:mark]
 }
-
-// forkPhase is one labeled slice of a fork's latency charge.
-type forkPhase struct {
-	label string
-	d     sim.Time
-}
-
-// phasedAdvance charges total nanoseconds of off-core latency to p as a
-// sequence of labeled per-phase Advances. Consecutive Advances are
-// arithmetically identical to one combined Advance — no scheduling
-// point sits between them — so splitting the charge cannot move the
-// simulated timeline; it only lets the profiler attribute each phase.
-// Phases are clamped to the remaining budget and any remainder is
-// charged to the fallback label, so the total advanced always equals
-// total even if an engine's phase breakdown disagrees with its latency.
-func (k *Kernel) phasedAdvance(p *Proc, total sim.Time, phases []forkPhase, fallback string) {
-	rem := total
-	for _, ph := range phases {
-		d := ph.d
-		if d > rem {
-			d = rem
-		}
-		if d == 0 {
-			continue
-		}
-		p.profPhase = ph.label
-		p.Task.Advance(d)
-		rem -= d
-	}
-	if rem > 0 {
-		p.profPhase = fallback
-		p.Task.Advance(rem)
-	}
-	p.profPhase = ""
-}
-
-// forkMemAdvance charges the memory-side fork latency (everything but
-// the kernel FD fixup) to the parent. With the profiler armed the
-// charge is split per engine phase so samples land under
-// phase:fork:<phase> stacks; unarmed it stays the historical single
-// Advance — the total is identical either way.
-func (k *Kernel) forkMemAdvance(p *Proc, stats ForkStats) {
-	total := stats.Latency - stats.FixupTime
-	if !k.Profile.On() {
-		p.Task.Advance(total)
-		return
-	}
-	k.phasedAdvance(p, total, []forkPhase{
-		{"fork:reserve", stats.ReserveTime},
-		{"fork:ptecopy", stats.PTECopyTime},
-		{"fork:eagercopy", stats.EagerCopyTime},
-		{"fork:scan", stats.ScanTime},
-		{"fork:reg", stats.RegTime},
-	}, "fork:other")
-}
-
-// forkFixupAdvance charges the kernel-side FD duplication + fixed fork
-// cost, labeled fork:fixup when the profiler is armed.
-func (k *Kernel) forkFixupAdvance(p *Proc, stats ForkStats) {
-	if !k.Profile.On() {
-		p.Task.Advance(stats.FixupTime)
-		return
-	}
-	k.phasedAdvance(p, stats.FixupTime,
-		[]forkPhase{{"fork:fixup", stats.FixupTime}}, "fork:fixup")
-}

@@ -240,7 +240,11 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	// task struct (§4.5 "per-process kernel state").
 	child.FDs = p.FDs.Dup()
 	stats.FixupTime = sim.Time(child.FDs.Len())*k.Machine.FDDup + k.Machine.ForkFixed
-	stats.Latency += stats.FixupTime
+	phases := stats.phases()
+	stats.Latency = 0
+	for _, ph := range phases {
+		stats.Latency += ph.d
+	}
 	if k.Locks != nil && !fg {
 		// Shadow-lock accounting: fork walks the FD table and tmem under
 		// BKL protection; credit those sections' virtual cost so lockstat
@@ -287,53 +291,69 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 			uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
 	}
 	if obs.On() {
-		// The fork span and its kernel-side fixup phase; the engine has
-		// already emitted its own phase spans starting at forkStart.
-		tr := k.Obs.Tracer
+		// The fork span, then its phases laid end to end inside it and
+		// one latency histogram per phase (exported as fork_phase_* on
+		// /metrics). Zero-length phases get no span.
+		tr, reg := k.Obs.Tracer, k.Obs.Reg
 		pid, tid := int(p.PID), p.Task.ID
 		tr.Complete(pid, tid, "fork:"+k.Engine.Name(), "fork",
 			uint64(forkStart), uint64(stats.Latency),
 			obs.A("child-pid", uint64(child.PID)),
 			obs.A("ptes-copied", uint64(stats.PTEsCopied)),
 			obs.A("pages-copied", uint64(stats.PagesCopied)),
+			obs.A("proactive-pages", uint64(stats.ProactivePages)),
 			obs.A("caps-relocated", uint64(stats.CapsRelocated)))
-		tr.Complete(pid, tid, "fd-dup+fixed", "fork",
-			uint64(forkStart)+uint64(stats.Latency-stats.FixupTime), uint64(stats.FixupTime))
-		k.Obs.Reg.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
-		// Per-phase latency histograms: the §6-style breakdown the
-		// telemetry server exports as fork_phase_* on /metrics.
-		reg := k.Obs.Reg
-		reg.Histogram("fork.phase.reserve").Observe(uint64(stats.ReserveTime))
-		reg.Histogram("fork.phase.ptecopy").Observe(uint64(stats.PTECopyTime))
-		reg.Histogram("fork.phase.eagercopy").Observe(uint64(stats.EagerCopyTime))
-		reg.Histogram("fork.phase.scan").Observe(uint64(stats.ScanTime))
-		reg.Histogram("fork.phase.reg").Observe(uint64(stats.RegTime))
-		reg.Histogram("fork.phase.fixup").Observe(uint64(stats.FixupTime))
+		reg.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
+		at := uint64(forkStart)
+		for _, ph := range phases {
+			reg.Histogram(ph.hist).Observe(uint64(ph.d))
+			if ph.d > 0 {
+				tr.Complete(pid, tid, ph.name, "fork", at, uint64(ph.d))
+				at += uint64(ph.d)
+			}
+		}
 	}
 
 	// The fork call's latency is charged to the parent; the child begins
 	// at the moment fork completes, exactly like the paper's latency
 	// metric ("time needed for the fork call to complete", §5.1). On split
 	// machines the charge is bracketed by the locks that own each phase —
-	// the memory-side work (reserve/PTE-copy/eager-copy/scan) under the
-	// tmem allocator lock, descriptor duplication and the fixed fixup under
-	// the parent's FD-table lock — so lockstat hold times show what each
-	// subsystem actually serializes. The total advanced is identical.
+	// the memory-side work (every phase before fixup) under the tmem
+	// allocator lock, the fixup (descriptor duplication and the fixed
+	// cost) under the parent's FD-table lock — so lockstat hold times show
+	// what each subsystem actually serializes. The total advanced is
+	// identical.
 	if fg {
 		k.lockWait(p, &k.locks.tmem)
-		k.forkMemAdvance(p, stats)
+		k.phasedAdvance(p, phases[:len(phases)-1])
 		k.locks.tmem.Unlock(p.Task)
 		k.lockWait(p, &p.fdlk)
-		k.forkFixupAdvance(p, stats)
+		k.phasedAdvance(p, phases[len(phases)-1:])
 		p.fdlk.Unlock(p.Task)
 	} else {
-		k.forkMemAdvance(p, stats)
-		k.forkFixupAdvance(p, stats)
+		k.phasedAdvance(p, phases[:])
 	}
 	p.LastFork = stats
 	k.startProc(child, p.Task.Now(), childEntry)
 	k.causalFork(p, child, p.Task.Now())
 	return child.PID, nil
+}
+
+// phasedAdvance charges a fork's phases to p in order as off-core
+// latency, one Advance per nonzero phase, each under its fork:<phase>
+// profiler label. Consecutive Advances are arithmetically identical to
+// one combined Advance — no scheduling point sits between them — so the
+// split cannot move the simulated timeline; it only lets the profiler
+// attribute each phase when it is armed.
+func (k *Kernel) phasedAdvance(p *Proc, phases []forkPhase) {
+	for _, ph := range phases {
+		if ph.d == 0 {
+			continue
+		}
+		p.profPhase = ph.label
+		p.Task.Advance(ph.d)
+	}
+	p.profPhase = ""
 }
 
 // abortFork unwinds a half-constructed child after the fork engine failed

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
+
+	"ufork/internal/obs"
 )
 
 // DumpTail is the number of trailing events panic/failure paths print by
@@ -38,27 +39,16 @@ func (r *Recorder) TextDump(n int) string {
 }
 
 // WriteChromeTrace serializes the last n events (n < 0 means all) as
-// Chrome trace_event JSON instant events, loadable in chrome://tracing or
-// Perfetto alongside (or instead of) the obs tracer's span view. Virtual
-// nanoseconds map to trace microseconds with three decimals.
+// Chrome trace_event instant events through obs.WriteChrome, loadable in
+// chrome://tracing or Perfetto alongside (or instead of) the obs tracer's
+// span view. Each μprocess is one row.
 func (r *Recorder) WriteChromeTrace(w io.Writer, n int) error {
 	evs := r.Tail(n)
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[")
+	out := make([]obs.Event, len(evs))
 	for i, e := range evs {
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, "{\"name\":%s,\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":%d,"+
-			"\"args\":{\"seq\":%d,\"a0\":%d,\"a1\":%d,\"a2\":%d}}",
-			strconv.Quote(e.Kind.String()), usec(e.TS), e.PID, e.PID,
-			e.Seq, e.Args[0], e.Args[1], e.Args[2])
+		out[i] = obs.Event{Name: e.Kind.String(), Cat: "flight", Phase: 'i', TS: e.TS,
+			PID: int(e.PID), TID: int(e.PID), Args: []obs.Arg{
+				obs.A("seq", e.Seq), obs.A("a0", e.Args[0]), obs.A("a1", e.Args[1]), obs.A("a2", e.Args[2])}}
 	}
-	bw.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
-	return bw.Flush()
-}
-
-// usec formats virtual nanoseconds as microseconds with ns precision.
-func usec(ns uint64) string {
-	return strconv.FormatFloat(float64(ns)/1000.0, 'f', 3, 64)
+	return obs.WriteChrome(w, nil, out)
 }

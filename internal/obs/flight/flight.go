@@ -3,9 +3,10 @@
 // events. Where the obs tracer is an opt-in, span-structured view for
 // offline timeline analysis, the flight recorder is the post-mortem plane:
 // cheap enough to leave running under production traffic, bounded in
-// memory, and dumped — as human-readable text or a Chrome trace — the
-// moment a panic, invariant violation, or chaos-fuzzer divergence needs
-// the event history that led up to it.
+// memory, and dumped — as human-readable text, or as a Chrome trace
+// through the shared obs.WriteChrome writer — the moment a panic,
+// invariant violation, or chaos-fuzzer divergence needs the event
+// history that led up to it.
 //
 // Design constraints, in order:
 //

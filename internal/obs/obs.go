@@ -3,6 +3,14 @@
 // latency histograms with percentile summaries) and a span tracer whose
 // events carry monotonic sim-clock timestamps and export to Chrome
 // trace_event JSON loadable in chrome://tracing or Perfetto.
+// WriteChrome is the repository's one trace_event writer: the tracer,
+// the flight recorder and the causal plane all export through it.
+//
+// The kernel emits fork and fault events itself. Fork engines only fill
+// kernel.ForkStats's phase fields; kernel.Fork turns those into the
+// fork:<engine> span with one span per phase laid end to end inside it,
+// and the fault path's fault:<kind> span carries the resolution's mode,
+// pages-copied and caps args.
 //
 // Design constraints, in order:
 //

@@ -149,7 +149,16 @@ func (pl *Plane) Samples() uint64 {
 // one sample per quantum boundary the (cpu, kind) accumulator crosses.
 // The stack on the CPU at the crossing owns the whole tick.
 func (pl *Plane) Add(st Stack, kind Kind, cpu int, d sim.Time) {
-	if !pl.On() || d == 0 {
+	if pl.On() {
+		pl.add(&st, kind, cpu, d)
+	}
+}
+
+// add is Add's enabled path. It is outlined, and takes the stack by
+// pointer, so that Add stays within the inlining budget and a disabled
+// Add costs one atomic load at the call site.
+func (pl *Plane) add(st *Stack, kind Kind, cpu int, d sim.Time) {
+	if d == 0 {
 		return
 	}
 	pl.mu.Lock()
@@ -164,7 +173,7 @@ func (pl *Plane) Add(st Stack, kind Kind, cpu int, d sim.Time) {
 	if n := c.residual[kind] / q; n > 0 {
 		c.residual[kind] -= n * q
 		c.sampled[kind] += n * q
-		pl.buckets[st] += n
+		pl.buckets[*st] += n
 		pl.samples.Add(n)
 	}
 }

@@ -15,16 +15,22 @@ const DefaultTraceEvents = 1 << 18
 
 // Arg is one key/value annotation on a trace event. Args are a slice, not
 // a map, so event serialization is deterministic (golden-file testable).
+// A non-empty Str is the value in place of Val.
 type Arg struct {
 	Key string
 	Val uint64
+	Str string
 }
 
-// A is a convenience constructor for Arg.
+// A is a convenience constructor for a numeric Arg.
 func A(key string, val uint64) Arg { return Arg{Key: key, Val: val} }
 
+// S is a convenience constructor for a string Arg.
+func S(key, val string) Arg { return Arg{Key: key, Str: val} }
+
 // Event is one trace record. Phase follows the Chrome trace_event
-// vocabulary: 'X' complete (has Dur), 'i' instant.
+// vocabulary: 'X' complete (has Dur), 'i' instant, 's'/'f' flow start
+// and finish (paired by ID).
 type Event struct {
 	Name  string
 	Cat   string
@@ -33,7 +39,15 @@ type Event struct {
 	Dur   uint64 // virtual ns ('X' only)
 	PID   int
 	TID   int
+	ID    uint64 // flow id ('s'/'f' only)
 	Args  []Arg
+}
+
+// Track names one row of an exported trace: a process when TID < 0,
+// else a thread of PID.
+type Track struct {
+	PID, TID int
+	Name     string
 }
 
 type openSpan struct {
@@ -233,11 +247,8 @@ func (t *Tracer) Reset() {
 	t.open = make(map[uint64][]openSpan)
 }
 
-// WriteChromeTrace serializes the buffer in the Chrome trace_event JSON
-// object format ({"traceEvents": [...]}), loadable in chrome://tracing
-// and Perfetto. Virtual nanoseconds map to trace microseconds with three
-// decimals, so 1 ns of sim time is 0.001 µs on the timeline. Output is
-// deterministic: metadata first (sorted), then events oldest-first.
+// WriteChromeTrace serializes the buffer with WriteChrome: track names
+// first (processes, then threads, each sorted), then events oldest-first.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	t.mu.Lock()
 	procs := make([]int, 0, len(t.procName))
@@ -250,23 +261,25 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		thrs = append(thrs, key)
 	}
 	sort.Slice(thrs, func(i, j int) bool { return thrs[i] < thrs[j] })
-	events := make([]Event, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		events = append(events, t.buf[(t.start+i)%cap(t.buf)])
-	}
-	type named struct {
-		pid, tid int
-		name     string
-	}
-	var meta []named
+	var tracks []Track
 	for _, pid := range procs {
-		meta = append(meta, named{pid: pid, tid: -1, name: t.procName[pid]})
+		tracks = append(tracks, Track{PID: pid, TID: -1, Name: t.procName[pid]})
 	}
 	for _, key := range thrs {
-		meta = append(meta, named{pid: int(int32(key >> 32)), tid: int(int32(key)), name: t.thrName[key]})
+		tracks = append(tracks, Track{PID: int(int32(key >> 32)), TID: int(int32(key)), Name: t.thrName[key]})
 	}
 	t.mu.Unlock()
+	return WriteChrome(w, tracks, t.Events())
+}
 
+// WriteChrome writes tracks and events, in the order given, in the Chrome
+// trace_event JSON object format ({"traceEvents": [...]}), loadable in
+// chrome://tracing and Perfetto. It is the one trace_event writer: the
+// tracer, the flight recorder and the causal plane all export through
+// it. Virtual nanoseconds map to trace microseconds with three decimals,
+// so 1 ns of sim time is 0.001 µs on the timeline, and equal input
+// writes equal bytes.
+func WriteChrome(w io.Writer, tracks []Track, events []Event) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[")
 	first := true
@@ -276,25 +289,30 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		first = false
 	}
-	for _, m := range meta {
+	for _, m := range tracks {
 		sep()
-		if m.tid < 0 {
+		if m.TID < 0 {
 			fmt.Fprintf(bw, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":%s}}",
-				m.pid, strconv.Quote(m.name))
+				m.PID, strconv.Quote(m.Name))
 		} else {
 			fmt.Fprintf(bw, "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":%s}}",
-				m.pid, m.tid, strconv.Quote(m.name))
+				m.PID, m.TID, strconv.Quote(m.Name))
 		}
 	}
 	for _, ev := range events {
 		sep()
 		fmt.Fprintf(bw, "{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"ts\":%s,\"pid\":%d,\"tid\":%d",
 			strconv.Quote(ev.Name), strconv.Quote(ev.Cat), ev.Phase, usec(ev.TS), ev.PID, ev.TID)
-		if ev.Phase == 'X' {
+		switch ev.Phase {
+		case 'X':
 			fmt.Fprintf(bw, ",\"dur\":%s", usec(ev.Dur))
-		}
-		if ev.Phase == 'i' {
+		case 'i':
 			bw.WriteString(",\"s\":\"t\"")
+		case 's':
+			fmt.Fprintf(bw, ",\"id\":%d", ev.ID)
+		case 'f':
+			// Bind the arrow to the slice enclosing its timestamp.
+			fmt.Fprintf(bw, ",\"id\":%d,\"bp\":\"e\"", ev.ID)
 		}
 		if len(ev.Args) > 0 {
 			bw.WriteString(",\"args\":{")
@@ -302,7 +320,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				if i > 0 {
 					bw.WriteString(",")
 				}
-				fmt.Fprintf(bw, "%s:%d", strconv.Quote(a.Key), a.Val)
+				if a.Str != "" {
+					fmt.Fprintf(bw, "%s:%s", strconv.Quote(a.Key), strconv.Quote(a.Str))
+				} else {
+					fmt.Fprintf(bw, "%s:%d", strconv.Quote(a.Key), a.Val)
+				}
 			}
 			bw.WriteString("}")
 		}

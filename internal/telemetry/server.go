@@ -172,10 +172,7 @@ func (s *Server) handleLocks(w http.ResponseWriter, _ *http.Request) {
 	if stats == nil {
 		stats = []sim.LockStat{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(stats)
+	writeJSON(w, stats)
 }
 
 // handleSched serves the scheduler-telemetry snapshot of the tracked
@@ -188,33 +185,22 @@ func (s *Server) handleSched(w http.ResponseWriter, _ *http.Request) {
 			snap = ks
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
+	writeJSON(w, snap)
 }
 
 // handleMemmap serves the provenance plane's fork-tree snapshot: live
 // frames by origin, per-μprocess RSS/PSS/USS with child links, and a
 // bounded per-frame lineage sample (?frames=N, default 256).
 func (s *Server) handleMemmap(w http.ResponseWriter, r *http.Request) {
-	maxFrames := 256
-	if q := r.URL.Query().Get("frames"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad frames", http.StatusBadRequest)
-			return
-		}
-		maxFrames = v
+	maxFrames, ok := intParam(w, r, "frames", 256)
+	if !ok {
+		return
 	}
 	snap := s.pl.Snapshot(maxFrames)
 	if snap.Procs == nil {
 		snap.Procs = []memmap.ProcNode{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
+	writeJSON(w, snap)
 }
 
 func (s *Server) handleProcs(w http.ResponseWriter, _ *http.Request) {
@@ -222,10 +208,7 @@ func (s *Server) handleProcs(w http.ResponseWriter, _ *http.Request) {
 	if procs == nil {
 		procs = []kernel.ProcStat{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(procs)
+	writeJSON(w, procs)
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
@@ -265,24 +248,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "causal tracing not armed", http.StatusConflict)
 		return
 	}
-	k := 0 // all retained exemplars
-	if q := r.URL.Query().Get("k"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad k", http.StatusBadRequest)
-			return
-		}
-		k = v
+	k, ok := intParam(w, r, "k", 0) // 0: all retained exemplars
+	if !ok {
+		return
 	}
 	switch r.URL.Query().Get("format") {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		_ = s.causal.WriteChromeTrace(w, k)
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.causal.Snapshot(k))
+		writeJSON(w, s.causal.Snapshot(k))
 	default:
 		http.Error(w, "bad format", http.StatusBadRequest)
 	}
@@ -300,14 +275,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "profiler not armed", http.StatusConflict)
 		return
 	}
-	n := 20
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := intParam(w, r, "n", 20)
+	if !ok {
+		return
 	}
 	snap := s.prof.Snapshot()
 	switch r.URL.Query().Get("format") {
@@ -324,6 +294,30 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "bad format", http.StatusBadRequest)
 	}
+}
+
+// writeJSON serves v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// intParam reads the non-negative integer query parameter name, or def
+// when it is absent. On a malformed or negative value it answers 400
+// "bad <name>" and returns false.
+func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+	q := r.URL.Query().Get(name)
+	if q == "" {
+		return def, true
+	}
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 0 {
+		http.Error(w, "bad "+name, http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
 }
 
 // healthz is the /healthz document: which observability planes are
@@ -346,10 +340,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"profile":  s.prof.On(),
 		},
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(h)
+	writeJSON(w, h)
 }
 
 // Start arms the live telemetry plane on addr: enables the obs layer and
