@@ -20,5 +20,11 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "FRAME LEAK: %d frames still allocated after all bench tests\n", n)
 		code = 1
 	}
+	// Every never-written frame reads through one shared zero frame; a
+	// write that reached it would corrupt all of them at once.
+	if !tmem.SharedZeroIntact() {
+		fmt.Fprintln(os.Stderr, "SHARED ZERO FRAME WRITTEN: it no longer reads as zeros with no tags")
+		code = 1
+	}
 	os.Exit(code)
 }

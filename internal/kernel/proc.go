@@ -82,6 +82,12 @@ type Proc struct {
 	// a forked child. The provenance plane stamps frame lineage with it.
 	Gen int
 
+	// AllocCache is a host-side cache owned by the heap allocator (package
+	// alloc) and shared by every allocator view of this μprocess. The
+	// allocator's state lives in simulated memory; the cache only speeds
+	// up finding it. A forked child starts with none.
+	AllocCache any
+
 	// Forked counts forks performed by this process.
 	Forked int
 	// LastFork holds the statistics of the most recent fork this process

@@ -135,7 +135,7 @@ func (m *Memory) AuditFrame(pfn PFN) error {
 // tag-plane bit flip (alpha particle, controller bug). It deliberately
 // leaves the frame inconsistent; AuditFrame must detect it.
 func (m *Memory) InjectTagFlip(pfn PFN, g uint64) error {
-	f, err := m.frame(pfn)
+	f, err := m.writable(pfn)
 	if err != nil {
 		return err
 	}

@@ -105,10 +105,27 @@ func (f *Frame) reset() {
 	f.ntags = 0
 }
 
+// zeroFrame is the host storage of every zero-allocated frame until its
+// first write. Most such frames are never written — each boot maps the
+// whole static heap (Fig. 4) and touches little of it — so giving each one
+// its own Frame was most of a boot's host time and resident memory. It is
+// read-only: every write path goes through writable, which gives the
+// frame real storage first.
+var zeroFrame Frame
+
+// SharedZeroIntact reports whether the shared zero frame still reads as
+// all zeros with no tags: a write that bypassed writable would break every
+// never-written frame at once. Test packages assert it at exit.
+func SharedZeroIntact() bool {
+	return zeroFrame.Data == [PageSize]byte{} && zeroFrame.tags == [TagWords]uint64{} &&
+		zeroFrame.ntags == 0 && zeroFrame.caps == nil
+}
+
 // Memory is a bank of tagged physical frames with a free-list allocator.
 // Freed Frames are pooled and reset on reuse rather than handed to the
 // garbage collector: fork-heavy workloads recycle tens of thousands of
 // frames per fork and the allocation churn dominated host wall-clock time.
+// A zero-allocated frame shares zeroFrame until its first write.
 type Memory struct {
 	frames    []*Frame
 	freeList  []PFN
@@ -156,14 +173,17 @@ func (m *Memory) Allocated() int { return m.allocated }
 // PeakAllocated returns the high-water mark of allocated frames.
 func (m *Memory) PeakAllocated() int { return m.peak }
 
-// AllocFrame allocates a zeroed frame and returns its PFN.
+// AllocFrame allocates a zeroed frame and returns its PFN. The frame
+// shares the read-only zero frame until its first write.
 func (m *Memory) AllocFrame() (PFN, error) { return m.alloc(true) }
 
 // AllocFrameForCopy allocates a frame whose data bytes are UNSPECIFIED (a
 // pooled frame keeps its previous contents); its tag plane is clear. The
 // caller must fully overwrite it with CopyFrame before anything reads it.
 // The fork eager-copy path uses this to skip zeroing 4 KiB per page that
-// the copy is about to overwrite anyway.
+// the copy is about to overwrite anyway. The frame has its own storage
+// from the start, so parallel fork workers can copy into and relocate it
+// without touching the pool.
 func (m *Memory) AllocFrameForCopy() (PFN, error) { return m.alloc(false) }
 
 func (m *Memory) alloc(zero bool) (PFN, error) {
@@ -178,19 +198,10 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 		pfn = m.freeList[len(m.freeList)-1]
 		m.freeList = m.freeList[:len(m.freeList)-1]
 	}
-	if n := len(m.pool); n > 0 {
-		f := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		if zero {
-			f.reset()
-		} else {
-			f.tags = [TagWords]uint64{}
-			f.ntags = 0
-		}
-		m.frames[pfn] = f
+	if zero {
+		m.frames[pfn] = &zeroFrame
 	} else {
-		m.frames[pfn] = &Frame{}
+		m.frames[pfn] = m.backing(false)
 	}
 	m.allocated++
 	if m.allocated > m.peak {
@@ -201,6 +212,26 @@ func (m *Memory) alloc(zero bool) (PFN, error) {
 		m.observer(true, pfn)
 	}
 	return pfn, nil
+}
+
+// backing returns frame storage with a clear tag plane: a pooled frame, or
+// a new one. zero also clears a pooled frame's data. It touches the pool,
+// so only the simulation goroutine may call it.
+func (m *Memory) backing(zero bool) *Frame {
+	n := len(m.pool)
+	if n == 0 {
+		return &Frame{}
+	}
+	f := m.pool[n-1]
+	m.pool[n-1] = nil
+	m.pool = m.pool[:n-1]
+	if zero {
+		f.reset()
+	} else {
+		f.tags = [TagWords]uint64{}
+		f.ntags = 0
+	}
+	return f
 }
 
 // SetFrameObserver installs fn as the alloc/free observer; nil removes it.
@@ -215,8 +246,8 @@ func (m *Memory) SetFrameObserver(fn func(alloc bool, pfn PFN)) { m.observer = f
 func (m *Memory) SetCopyObserver(fn func(dst, src PFN)) { m.copyObserver = fn }
 
 // FreeFrame returns a frame to the allocator. Freeing a frame that is not
-// currently allocated reports ErrFreeFree; the frame's storage is retained
-// in the pool for the next AllocFrame.
+// currently allocated reports ErrFreeFree; the frame's storage, if it has
+// its own, is retained in the pool for reuse.
 func (m *Memory) FreeFrame(pfn PFN) error {
 	if pfn == NoFrame || int(pfn) >= len(m.frames) {
 		return fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
@@ -225,11 +256,13 @@ func (m *Memory) FreeFrame(pfn PFN) error {
 	if f == nil {
 		return fmt.Errorf("%w: pfn %d", ErrFreeFree, pfn)
 	}
-	if m.hooks != nil && m.hooks.PoisonFreed {
-		poisonFrame(f)
+	if f != &zeroFrame {
+		if m.hooks != nil && m.hooks.PoisonFreed {
+			poisonFrame(f)
+		}
+		m.pool = append(m.pool, f)
 	}
 	m.frames[pfn] = nil
-	m.pool = append(m.pool, f)
 	if !m.cacheFree(pfn) {
 		m.freeList = append(m.freeList, pfn)
 	}
@@ -246,6 +279,20 @@ func (m *Memory) frame(pfn PFN) (*Frame, error) {
 		return nil, fmt.Errorf("%w: pfn %d", ErrBadFrame, pfn)
 	}
 	return m.frames[pfn], nil
+}
+
+// writable returns frame pfn for a write, first giving a frame that still
+// shares zeroFrame zeroed storage of its own. That swap touches the pool,
+// so writes to zero-allocated frames stay on the simulation goroutine;
+// parallel fork workers only write AllocFrameForCopy frames.
+func (m *Memory) writable(pfn PFN) (*Frame, error) {
+	f, err := m.frame(pfn)
+	if err != nil || f != &zeroFrame {
+		return f, err
+	}
+	f = m.backing(true)
+	m.frames[pfn] = f
+	return f, nil
 }
 
 // checkRange validates that [off, off+n) lies within one frame.
@@ -273,7 +320,7 @@ func (m *Memory) ReadBytes(pfn PFN, off uint64, buf []byte) error {
 // WriteBytes stores buf at offset off of frame pfn, clearing the tags of
 // every granule the write touches.
 func (m *Memory) WriteBytes(pfn PFN, off uint64, buf []byte) error {
-	f, err := m.frame(pfn)
+	f, err := m.writable(pfn)
 	if err != nil {
 		return err
 	}
@@ -334,7 +381,7 @@ func (m *Memory) LoadCap(pfn PFN, off uint64) (cap.Capability, error) {
 // data bytes receive the capability's cursor so that subsequent integer
 // loads observe the pointer's address.
 func (m *Memory) StoreCap(pfn PFN, off uint64, c cap.Capability) error {
-	f, err := m.frame(pfn)
+	f, err := m.writable(pfn)
 	if err != nil {
 		return err
 	}
@@ -412,7 +459,10 @@ func (m *Memory) CountTags(pfn PFN) (int, error) {
 // plane with its capabilities — into frame dst. This is the page-copy
 // primitive used by every copy-on-* strategy; the tag plane travels with
 // the data exactly as on Morello. The moved volume (data + packed tag
-// plane) is charged to the byte-accounting counter.
+// plane) is charged to the byte-accounting counter. A copy from a
+// never-written frame into a never-written one leaves both sharing the
+// zero frame; any other copy into a never-written frame gives it storage,
+// which only the simulation goroutine may do.
 func (m *Memory) CopyFrame(dst, src PFN) error {
 	fs, err := m.frame(src)
 	if err != nil {
@@ -422,6 +472,25 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 	if err != nil {
 		return err
 	}
+	if fd == &zeroFrame && fs != &zeroFrame {
+		fd = m.backing(false) // every field is overwritten below
+		m.frames[dst] = fd
+	}
+	if fd != &zeroFrame {
+		copyInto(fd, fs)
+		if m.hooks != nil && m.hooks.SkipTagCopy {
+			fd.tags = [TagWords]uint64{}
+		}
+	}
+	m.totalOps.Add(PageSize + TagPlaneBytes)
+	if m.copyObserver != nil {
+		m.copyObserver(dst, src)
+	}
+	return nil
+}
+
+// copyInto copies fs's data bytes, tag plane and capabilities into fd.
+func copyInto(fd, fs *Frame) {
 	fd.Data = fs.Data
 	fd.tags = fs.tags
 	fd.ntags = fs.ntags
@@ -447,14 +516,6 @@ func (m *Memory) CopyFrame(dst, src PFN) error {
 	}
 	// A stale fd.caps from a pooled frame is likewise unobservable when fs
 	// carried no tags: fd's tag plane is now all-clear.
-	if m.hooks != nil && m.hooks.SkipTagCopy {
-		fd.tags = [TagWords]uint64{}
-	}
-	m.totalOps.Add(PageSize + TagPlaneBytes)
-	if m.copyObserver != nil {
-		m.copyObserver(dst, src)
-	}
-	return nil
 }
 
 // ZeroFrame clears a frame's data, tags, and cached tag count.
@@ -463,7 +524,9 @@ func (m *Memory) ZeroFrame(pfn PFN) error {
 	if err != nil {
 		return err
 	}
-	f.reset()
+	if f != &zeroFrame {
+		f.reset()
+	}
 	return nil
 }
 
