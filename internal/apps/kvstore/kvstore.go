@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"ufork/internal/alloc"
 	"ufork/internal/cap"
@@ -488,11 +489,11 @@ func (s *Store) Save(path string) error {
 		binary.LittleEndian.PutUint64(lens[8:], vlen)
 		buf = append(buf, lens[:]...)
 		buf = append(buf, key...)
-		vb := make([]byte, vlen)
-		if err := s.p.Load(val, 0, vb); err != nil {
+		n := len(buf)
+		buf = slices.Grow(buf, int(vlen))[:n+int(vlen)]
+		if err := s.p.Load(val, 0, buf[n:]); err != nil {
 			return err
 		}
-		buf = append(buf, vb...)
 		return flush(false)
 	})
 	if err != nil {
@@ -540,7 +541,10 @@ func (s *Store) Reap() error {
 }
 
 // LoadDump parses a dump previously produced by Save (host-side check
-// utility for tests and examples).
+// utility for tests and examples). The returned values alias data rather
+// than copy it: each is a sub-slice capped at its own length, so appending
+// to one reallocates instead of overwriting the next record, but a later
+// write into data shows through. Callers only read them.
 func LoadDump(data []byte) (map[string][]byte, error) {
 	if len(data) < 12 || string(data[:4]) != "KVD1" {
 		return nil, ErrCorrupt
@@ -560,7 +564,7 @@ func LoadDump(data []byte) (map[string][]byte, error) {
 		}
 		key := string(data[pos : pos+klen])
 		pos += klen
-		out[key] = append([]byte(nil), data[pos:pos+vlen]...)
+		out[key] = data[pos : pos+vlen : pos+vlen]
 		pos += vlen
 	}
 	return out, nil

@@ -87,14 +87,17 @@ func (f *regularFile) readAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
 	return n
 }
 
+// writeAt overwrites the part of buf that lands inside the file and
+// appends the rest, so a file written sequentially grows geometrically
+// (amortised O(1) host work per byte). A write past EOF first fills the
+// hole with zeros. The virtual charge depends only on len(buf).
 func (f *regularFile) writeAt(k *Kernel, p *Proc, off uint64, buf []byte) int {
-	end := off + uint64(len(buf))
-	if end > uint64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
+	data := f.ino.Data
+	if off > uint64(len(data)) {
+		data = append(data, make([]byte, off-uint64(len(data)))...)
 	}
-	copy(f.ino.Data[off:], buf)
+	n := copy(data[off:], buf)
+	f.ino.Data = append(data, buf[n:]...)
 	p.Task.Book(sim.Time(len(buf)) * k.Machine.FSWriteNsPerKB / 1024)
 	return len(buf)
 }

@@ -366,7 +366,9 @@ func (s *Span) Root() bool { return s != nil && s.root }
 // exactly because the engine attributes every clock advance to exactly
 // one bucket.
 func (s *Span) Checkpoint(now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
-	s.flush(now, delays, -1, "")
+	if s != nil {
+		s.flush(now, delays, -1, "")
+	}
 }
 
 // CheckpointAs flushes like Checkpoint but labels kind's delta with the
@@ -374,11 +376,16 @@ func (s *Span) Checkpoint(now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
 // as "lock:tmem", a pipe sleep's blocked delta as "block:pipe"). The
 // other buckets keep their defaults.
 func (s *Span) CheckpointAs(kind sim.DelayKind, label string, now sim.Time, delays [sim.NumDelayKinds]sim.Time) {
-	s.flush(now, delays, kind, label)
+	if s != nil {
+		s.flush(now, delays, kind, label)
+	}
 }
 
+// flush is the checkpoints' live-span path. It is outlined, and the nil
+// test stays in the callers, so that a nil span's checkpoint inlines to
+// one comparison.
 func (s *Span) flush(now sim.Time, delays [sim.NumDelayKinds]sim.Time, kind sim.DelayKind, label string) {
-	if s == nil || s.closed {
+	if s.closed {
 		return
 	}
 	for k := sim.DelayKind(0); k < sim.NumDelayKinds; k++ {

@@ -241,9 +241,16 @@ func (r *Recorder) On() bool { return r != nil && r.enabled.Load() }
 // single atomic load and branch; when enabled it is a shard-mutex
 // acquisition and an in-place 48-byte write — no allocation on any path.
 func (r *Recorder) Emit(ts uint64, pid int32, kind Kind, a0, a1, a2 uint64) {
-	if r == nil || !r.enabled.Load() {
-		return
+	if r != nil && r.enabled.Load() {
+		r.emit(ts, pid, kind, a0, a1, a2)
 	}
+}
+
+// emit is Emit's enabled path. It is outlined so that Emit stays within
+// the inlining budget and a disabled Emit costs one atomic load at the
+// call site. Emit spells out On's test because calling On costs the
+// few inlining units that would put Emit over budget.
+func (r *Recorder) emit(ts uint64, pid int32, kind Kind, a0, a1, a2 uint64) {
 	seq := r.seq.Add(1)
 	s := &r.shards[uint64(uint32(pid))&r.mask]
 	s.mu.Lock()
