@@ -163,6 +163,12 @@ func Representable(base, length uint64) bool {
 //
 // The zero value is an untagged (invalid) null capability, matching the
 // CHERI null capability.
+//
+// Accessors and predicates take a pointer receiver. A Capability is too
+// large for the Go compiler to keep in registers, so each inlined call
+// on a value receiver would copy all of it; every simulated memory access
+// runs several of them. Operations that derive a new capability take and
+// return values.
 type Capability struct {
 	base   uint64
 	length uint64
@@ -183,35 +189,35 @@ func Root(base, length uint64) Capability {
 func Null() Capability { return Capability{} }
 
 // Tag reports whether the validity tag is set.
-func (c Capability) Tag() bool { return c.tag }
+func (c *Capability) Tag() bool { return c.tag }
 
 // Base returns the lower bound.
-func (c Capability) Base() uint64 { return c.base }
+func (c *Capability) Base() uint64 { return c.base }
 
 // Len returns the length of the bounds region.
-func (c Capability) Len() uint64 { return c.length }
+func (c *Capability) Len() uint64 { return c.length }
 
 // Top returns the exclusive upper bound (base+length).
-func (c Capability) Top() uint64 { return c.base + c.length }
+func (c *Capability) Top() uint64 { return c.base + c.length }
 
 // Addr returns the cursor (the address the capability points at).
-func (c Capability) Addr() uint64 { return c.cursor }
+func (c *Capability) Addr() uint64 { return c.cursor }
 
 // Perms returns the permission bit set.
-func (c Capability) Perms() Perm { return c.perms }
+func (c *Capability) Perms() Perm { return c.perms }
 
 // OType returns the object type; OTypeUnsealed for ordinary capabilities.
-func (c Capability) OType() OType { return c.otype }
+func (c *Capability) OType() OType { return c.otype }
 
 // IsSealed reports whether the capability is sealed.
-func (c Capability) IsSealed() bool { return c.otype != OTypeUnsealed }
+func (c *Capability) IsSealed() bool { return c.otype != OTypeUnsealed }
 
 // HasPerm reports whether every permission in p is present.
-func (c Capability) HasPerm(p Perm) bool { return c.perms&p == p }
+func (c *Capability) HasPerm(p Perm) bool { return c.perms&p == p }
 
 // InBounds reports whether an access of size n at addr lies fully within
 // the capability's bounds.
-func (c Capability) InBounds(addr, n uint64) bool {
+func (c *Capability) InBounds(addr, n uint64) bool {
 	if n == 0 {
 		return addr >= c.base && addr <= c.Top()
 	}
@@ -230,10 +236,27 @@ func (c Capability) Untag() Capability {
 	return c
 }
 
+// Permits reports whether a dereference of size n at address addr
+// requiring permissions need passes the four CHERI runtime checks, in
+// the order they are evaluated: tag set, unsealed, permissions, bounds.
+// It inlines into every simulated access; a CI step checks that it still
+// does.
+func (c *Capability) Permits(addr, n uint64, need Perm) bool {
+	return c.tag && !c.IsSealed() && c.HasPerm(need) && c.InBounds(addr, n)
+}
+
 // CheckDeref validates a dereference of size n at address addr requiring
-// permissions need. It enforces the three CHERI runtime checks: tag set,
-// not sealed, bounds and permissions.
+// permissions need: nil when Permits, else an error naming the first
+// check that failed.
 func (c Capability) CheckDeref(addr, n uint64, need Perm) error {
+	if c.Permits(addr, n, need) {
+		return nil
+	}
+	return c.derefError(addr, n, need)
+}
+
+// derefError is CheckDeref's failure path, kept out of line.
+func (c Capability) derefError(addr, n uint64, need Perm) error {
 	if !c.tag {
 		return ErrTagCleared
 	}
@@ -243,10 +266,7 @@ func (c Capability) CheckDeref(addr, n uint64, need Perm) error {
 	if !c.HasPerm(need) {
 		return fmt.Errorf("%w: have %v need %v", ErrPerm, c.perms, need)
 	}
-	if !c.InBounds(addr, n) {
-		return fmt.Errorf("%w: access [%#x,+%d) outside [%#x,%#x)", ErrBounds, addr, n, c.base, c.Top())
-	}
-	return nil
+	return fmt.Errorf("%w: access [%#x,+%d) outside [%#x,%#x)", ErrBounds, addr, n, c.base, c.Top())
 }
 
 // SetAddr returns a copy with the cursor set to addr. The cursor may move

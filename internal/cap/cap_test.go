@@ -126,10 +126,10 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		t.Fatalf("deref of sealed: got %v", err)
 	}
 	// Mutation of a sealed cap clears the tag.
-	if sealed.Add(8).Tag() {
+	if moved := sealed.Add(8); moved.Tag() {
 		t.Fatal("arithmetic on sealed cap must clear tag")
 	}
-	if sealed.WithPerms(PermRO).Tag() {
+	if narrowed := sealed.WithPerms(PermRO); narrowed.Tag() {
 		t.Fatal("perm change on sealed cap must clear tag")
 	}
 	// Unseal with wrong otype fails.

@@ -130,7 +130,7 @@ func TestSentryCannotBeForgedOrInspected(t *testing.T) {
 			t.Errorf("sentry deref: %v", err)
 		}
 		// Retargeting clears the tag.
-		if s.Add(64).Tag() {
+		if moved := s.Add(64); moved.Tag() {
 			t.Error("retargeted sentry kept its tag")
 		}
 		// Unsealing requires an unsealing capability the process lacks.

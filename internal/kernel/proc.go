@@ -168,10 +168,24 @@ var faultModeNames = [...]string{"mapped", "cow", "coa", "copa"}
 // translate resolves va for the access, invoking the fork engine's fault
 // handler (CoW / CoA / CoPA resolution) as needed.
 func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
+	pfn, off, fault := p.AS.Translate(va, acc)
+	if fault == nil {
+		return pfn, off, nil
+	}
+	return p.translateFault(va, acc, fault)
+}
+
+// translateFault is translate's fault-service loop, kept out of line. It
+// serves the fault translate's attempt raised, then re-translates; a
+// translation still faulting after eight services is a segfault.
+func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.PFN, uint64, error) {
 	for attempt := 0; attempt < 8; attempt++ {
-		pfn, off, fault := p.AS.Translate(va, acc)
-		if fault == nil {
-			return pfn, off, nil
+		if attempt > 0 {
+			pfn, off, f := p.AS.Translate(va, acc)
+			if f == nil {
+				return pfn, off, nil
+			}
+			fault = f
 		}
 		p.k.Stats.PageFaults.Inc()
 		p.Acct.Faults.Inc()
@@ -329,13 +343,11 @@ func (p *Proc) translate(va uint64, acc vm.Access) (tmem.PFN, uint64, error) {
 	return tmem.NoFrame, 0, fmt.Errorf("%w: fault loop at %#x", ErrSegfault, va)
 }
 
-// checkCap performs the CHERI dereference check unless the capability
-// system has been configured away.
-func (p *Proc) checkCap(c cap.Capability, va, n uint64, acc vm.Access) error {
-	if err := c.CheckDeref(va, n, permForAccess(acc)); err != nil {
-		return fmt.Errorf("%w: %v", ErrCapFault, err)
-	}
-	return nil
+// capFault is the error of an access through c that fails the CHERI
+// dereference check. Accesses test c.Permits inline and call this only
+// on failure.
+func capFault(c cap.Capability, va, n uint64, acc vm.Access) error {
+	return fmt.Errorf("%w: %v", ErrCapFault, c.CheckDeref(va, n, permForAccess(acc)))
 }
 
 // Load reads len(buf) bytes through capability c at byte offset off from
@@ -352,8 +364,8 @@ func (p *Proc) Store(c cap.Capability, off uint64, buf []byte) error {
 func (p *Proc) rw(c cap.Capability, off uint64, buf []byte, acc vm.Access) error {
 	va := c.Addr() + off
 	n := uint64(len(buf))
-	if err := p.checkCap(c, va, n, acc); err != nil {
-		return err
+	if !c.Permits(va, n, permForAccess(acc)) {
+		return capFault(c, va, n, acc)
 	}
 	done := uint64(0)
 	for done < n {
@@ -400,8 +412,8 @@ func (p *Proc) StoreU64(c cap.Capability, off uint64, v uint64) error {
 // is the access that triggers the copy-and-relocate fault (§3.8).
 func (p *Proc) LoadCap(c cap.Capability, off uint64) (cap.Capability, error) {
 	va := c.Addr() + off
-	if err := p.checkCap(c, va, cap.GranuleSize, vm.AccCapRead); err != nil {
-		return cap.Null(), err
+	if !c.Permits(va, cap.GranuleSize, permForAccess(vm.AccCapRead)) {
+		return cap.Null(), capFault(c, va, cap.GranuleSize, vm.AccCapRead)
 	}
 	pfn, poff, err := p.translate(va, vm.AccCapRead)
 	if err != nil {
@@ -413,8 +425,8 @@ func (p *Proc) LoadCap(c cap.Capability, off uint64) (cap.Capability, error) {
 // StoreCap stores capability v through c at offset off.
 func (p *Proc) StoreCap(c cap.Capability, off uint64, v cap.Capability) error {
 	va := c.Addr() + off
-	if err := p.checkCap(c, va, cap.GranuleSize, vm.AccCapWrite); err != nil {
-		return err
+	if !c.Permits(va, cap.GranuleSize, permForAccess(vm.AccCapWrite)) {
+		return capFault(c, va, cap.GranuleSize, vm.AccCapWrite)
 	}
 	pfn, poff, err := p.translate(va, vm.AccCapWrite)
 	if err != nil {
@@ -427,8 +439,8 @@ func (p *Proc) StoreCap(c cap.Capability, off uint64, v cap.Capability) error {
 // demonstrate execute permissions).
 func (p *Proc) FetchCode(off uint64) error {
 	va := p.PCC.Addr() + off
-	if err := p.checkCap(p.PCC, va, 4, vm.AccExec); err != nil {
-		return err
+	if !p.PCC.Permits(va, 4, permForAccess(vm.AccExec)) {
+		return capFault(p.PCC, va, 4, vm.AccExec)
 	}
 	_, _, err := p.translate(va, vm.AccExec)
 	return err

@@ -150,6 +150,28 @@ const (
 	dirMask = dirSize - 1
 )
 
+// The directory cache is direct-mapped with dcacheSize entries. On the
+// repo benchmark's three workloads 16 entries serve 99.5-99.9% of
+// directory lookups, where one entry served 70-76%; on faas-zygote 64
+// entries served only 0.04 points more.
+const (
+	dcacheBits = 4
+	dcacheSize = 1 << dcacheBits
+)
+
+// dcacheEntry caches the directory for one key; dir is nil when empty.
+type dcacheEntry struct {
+	key VPN
+	dir *pageDir
+}
+
+// dcacheSlot maps a directory key to its cache entry by Fibonacci
+// hashing: the multiply folds every key bit into the top bits, so keys
+// that agree in their low bits (the same offset in two aligned regions)
+// still land in different slots. The slot only decides hit or miss,
+// never which directory is returned.
+func dcacheSlot(key VPN) int { return int(uint64(key) * 0x9E3779B97F4A7C15 >> (64 - dcacheBits)) }
+
 // pageDir is one directory node. A slot is live iff its Page is non-nil;
 // live counts them so the node can be pooled the moment it empties. A
 // pooled node is always all-zero: every Unmap clears its slot.
@@ -173,10 +195,10 @@ type AddressSpace struct {
 	dirPool []*pageDir
 	// scratch is the reusable VPN snapshot buffer for range walks.
 	scratch []VPN
-	// lastKey/lastDir cache the most recent directory hit; sequential page
-	// walks (copies, region scans) then skip the map lookup entirely.
-	lastKey VPN
-	lastDir *pageDir
+	// dcache is a direct-mapped cache of directory hits, so the pages of
+	// a few live regions translate without a map lookup. Unmap clears a
+	// directory's entry when it releases the directory to the pool.
+	dcache [dcacheSize]dcacheEntry
 
 	// Stats counts fault activity for experiment accounting.
 	Stats Stats
@@ -283,8 +305,9 @@ func (as *AddressSpace) MappedPages() int { return as.mapped }
 // dir returns the directory node covering key (= vpn>>dirBits), creating
 // one (from the pool when possible) if create is set.
 func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
-	if as.lastDir != nil && as.lastKey == key {
-		return as.lastDir
+	e := &as.dcache[dcacheSlot(key)]
+	if e.dir != nil && e.key == key {
+		return e.dir
 	}
 	d := as.dirs[key]
 	if d == nil {
@@ -300,7 +323,7 @@ func (as *AddressSpace) dir(key VPN, create bool) *pageDir {
 		}
 		as.dirs[key] = d
 	}
-	as.lastKey, as.lastDir = key, d
+	e.key, e.dir = key, d
 	return d
 }
 
@@ -357,8 +380,8 @@ func (as *AddressSpace) Unmap(vpn VPN) error {
 	if d.live == 0 {
 		delete(as.dirs, key)
 		as.dirPool = append(as.dirPool, d)
-		if as.lastDir == d {
-			as.lastDir = nil
+		if e := &as.dcache[dcacheSlot(key)]; e.dir == d {
+			*e = dcacheEntry{}
 		}
 	}
 	page.Refs--
