@@ -251,7 +251,8 @@ func TestCoPAChildMemoryFarBelowCoA(t *testing.T) {
 					t.Errorf("save: %v", err)
 					return
 				}
-				pages = c.Usage().PrivatePages
+				r, _ := k.SmapsOf(c.PID)
+				pages = r.Total.PrivatePages
 			})
 			if err != nil {
 				t.Fatal(err)

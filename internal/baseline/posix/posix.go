@@ -30,9 +30,8 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	var stats kernel.ForkStats
 	m := k.Machine
 
-	// A brand-new address space: pmap + vm_map creation dominates the
-	// fixed cost of a small fork (Fig. 8).
-	child.AS = vm.NewAddressSpace(k.Mem)
+	// The kernel gave the child a brand-new address space: pmap + vm_map
+	// creation dominates the fixed cost of a small fork (Fig. 8).
 	child.Region = parent.Region // same virtual addresses
 	stats.ReserveTime = m.VMSpaceSetup
 
@@ -46,12 +45,8 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 		stats.PTEsCopied++
 		stats.PTECopyTime += m.PTECopy
 		// Both sides lose write permission; the first writer copies.
-		shared := pte.Prot &^ vm.ProtWrite
-		if err := parent.AS.Protect(vpn, shared); err != nil {
-			copyErr = err
-			return
-		}
-		if err := child.AS.Map(vpn, pte.Page, shared); err != nil {
+		pte.Prot &^= vm.ProtWrite
+		if err := child.AS.Map(vpn, pte.Page, pte.Prot); err != nil {
 			copyErr = err
 			return
 		}
@@ -117,6 +112,6 @@ func (e *Engine) HandleFault(k *kernel.Kernel, p *kernel.Proc, f *vm.Fault, acc 
 // dynamic linker, so the monolithic child needs no eager fixups; the
 // per-process memory the paper attributes to the runtime image and the
 // allocator arena (Fig. 5, Fig. 8) is the proportional-set attribution of
-// the CoW-shared pages, which vm.Usage's accounting reproduces without
+// the CoW-shared pages, which the kernel's smaps walk reproduces without
 // touching anything.
 func (e *Engine) ChildStart(k *kernel.Kernel, child *kernel.Proc) {}

@@ -131,7 +131,8 @@ func TestRuntimeImageInPRSS(t *testing.T) {
 	run(t, k, func(p *kernel.Proc) {
 		var childPRSS uint64
 		_, err := k.Fork(p, func(c *kernel.Proc) {
-			childPRSS = c.Usage().PRSSBytes
+			r, _ := k.SmapsOf(c.PID)
+			childPRSS = r.Total.PSSBytes
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -194,8 +195,8 @@ func TestSharedPagesAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := k.Fork(p, func(c *kernel.Proc) {
-			u := c.Usage()
-			if u.SharedPages == 0 {
+			r, _ := k.SmapsOf(c.PID)
+			if r.Total.SharedPages == 0 {
 				t.Error("freshly forked posix child should share pages CoW")
 			}
 		})

@@ -29,7 +29,6 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	var stats kernel.ForkStats
 	m := k.Machine
 
-	child.AS = vm.NewAddressSpace(k.Mem)
 	child.Region = parent.Region // the clone sees identical guest-virtual addresses
 	stats.ReserveTime = m.DomainCreate
 

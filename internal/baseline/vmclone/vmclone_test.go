@@ -32,7 +32,8 @@ func TestCloneIsFullyPrivate(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := k.Fork(p, func(c *kernel.Proc) {
-			u := c.Usage()
+			r, _ := k.SmapsOf(c.PID)
+			u := r.Total
 			if u.SharedPages != 0 {
 				t.Errorf("VM clone shares %d pages; a cloned domain shares nothing", u.SharedPages)
 			}

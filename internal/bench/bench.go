@@ -74,17 +74,19 @@ func build(id SystemID, cores int, frames int) *kernel.Kernel {
 }
 
 // memMetric is the per-process memory of a forked child, reported the way
-// the paper reports it: for the multi-address-space baseline it is the
-// proportional resident set (§5.2 "We consider the proportional resident
-// set"); for single-address-space systems it is the frames resident in the
-// child's own region — shared frames stay attributed to the parent's
-// region, which is how a SASOS kernel accounts region-owned memory.
+// the paper reports it and read from the kernel's smaps walk: for the
+// multi-address-space baseline it is the proportional resident set (§5.2
+// "We consider the proportional resident set"); for single-address-space
+// systems it is the frames the child maps exclusively — shared frames stay
+// attributed to the parent's region, which is how a SASOS kernel accounts
+// region-owned memory.
 func memMetric(p *kernel.Proc) uint64 {
-	u := p.Usage()
-	if p.Kernel().Machine.SingleAddressSpace {
-		return u.PrivateBytes
+	k := p.Kernel()
+	r, _ := k.SmapsOf(p.PID)
+	if k.Machine.SingleAddressSpace {
+		return r.Total.USSBytes
 	}
-	return u.PRSSBytes
+	return r.Total.PSSBytes
 }
 
 // runRoot spawns entry as the root process and drives the simulation,

@@ -84,7 +84,6 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 	// μprocess (§3.5 step 1). The reservation is a bump-allocator hit (or
 	// a size-class reuse), so no virtual time is modelled for it:
 	// ReserveTime stays zero.
-	child.AS = parent.AS // single address space
 	child.Region = k.ReserveRegion(parent.Region.Size, parent.Spec.Name)
 	child.Pending = vm.NewPageSet(vm.VPNOf(child.Region.Base), int(child.Region.Size/vm.PageSize))
 
@@ -168,11 +167,7 @@ func (e *Engine) Fork(k *kernel.Kernel, parent, child *kernel.Proc) (kernel.Fork
 
 		// Lazy sharing: downgrade the parent to read-only (write faults
 		// copy for the writer) and map the child per strategy.
-		parentShared := pte.Prot &^ vm.ProtWrite
-		if err := parent.AS.Protect(vpn, parentShared); err != nil {
-			copyErr = err
-			return
-		}
+		pte.Prot &^= vm.ProtWrite
 		var childProt vm.Prot
 		switch e.Mode {
 		case CopyOnAccess:
@@ -334,7 +329,7 @@ func (e *Engine) relocateRegisters(k *kernel.Kernel, parent, child *kernel.Proc)
 		child.Regs[i] = reloc(c)
 	}
 	child.DDC = reloc(parent.DDC)
-	child.PCC = relocCode(k, child, parent.PCC)
+	child.PCC = reloc(parent.PCC)
 	child.StackCap = reloc(parent.StackCap)
 	child.HeapCap = reloc(parent.HeapCap)
 	child.GOTCap = reloc(parent.GOTCap)
@@ -342,14 +337,6 @@ func (e *Engine) relocateRegisters(k *kernel.Kernel, parent, child *kernel.Proc)
 	child.DataCap = reloc(parent.DataCap)
 	child.TLSCap = reloc(parent.TLSCap)
 	child.SyscallCap = parent.SyscallCap // sealed sentry: shared by design
-}
-
-// relocCode relocates the program counter capability, preserving execute
-// permissions (the PCC's bounds are what PIC code derives relative
-// references from, §4.2).
-func relocCode(k *kernel.Kernel, child *kernel.Proc, pcc cap.Capability) cap.Capability {
-	nc, _ := RelocateCap(k, child, pcc)
-	return nc
 }
 
 // HandleFault implements kernel.ForkEngine: CoW/CoA/CoPA resolution

@@ -299,8 +299,8 @@ func TestCoPASharesDataPages(t *testing.T) {
 						return
 					}
 				}
-				u := c.Usage()
-				privatePages = u.PrivatePages
+				r, _ := k.SmapsOf(c.PID)
+				privatePages = r.Total.PrivatePages
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -591,8 +591,9 @@ func New(cfg Config) *Kernel {
 }
 
 // ArmMemmap attaches the memory-provenance plane to this kernel: the plane
-// is reset (frame numbers restart per kernel), the shared address space's
-// mutation stream is routed into it, and frame copies feed lineage. Must
+// is reset (frame numbers restart per kernel), the mutation stream of
+// every address space — the shared one here, private ones as the kernel
+// creates them — is routed into it, and frame copies feed lineage. Must
 // run before the simulation allocates frames — the invariant checker
 // cross-checks the plane against the allocator, so a late arm would
 // miscount. The telemetry server and the chaos harness both arm planes;
@@ -601,7 +602,7 @@ func (k *Kernel) ArmMemmap(pl *memmap.Plane) {
 	pl.Reset()
 	k.Memmap = pl
 	if k.SharedAS != nil {
-		k.SharedAS.SetObserver(memObserver{k})
+		k.SharedAS.SetObserver(memObserver{k: k})
 	}
 	k.Mem.SetCopyObserver(func(dst, src tmem.PFN) { k.Memmap.OnCopy(dst, src) })
 }
@@ -669,17 +670,39 @@ func (k *Kernel) SchedSnapshot() *sim.SchedSnapshot {
 	return &snap
 }
 
-// memObserver routes shared-address-space page-table mutations into the
-// provenance plane, resolving each VPN to the μprocess whose region holds
-// it. Runs on the simulation goroutine.
-type memObserver struct{ k *Kernel }
+// addressSpaceFor returns the page table p runs in: the shared one on a
+// single-address-space machine, else a fresh one of p's own, whose
+// mutations an armed provenance plane attributes to p.
+func (k *Kernel) addressSpaceFor(p *Proc) *vm.AddressSpace {
+	if k.SharedAS != nil {
+		return k.SharedAS
+	}
+	as := vm.NewAddressSpace(k.Mem)
+	if k.Memmap != nil {
+		as.SetObserver(memObserver{k: k, pid: int32(p.PID)})
+	}
+	return as
+}
 
-// pidFor resolves a virtual page to its owning μprocess: the in-flight
-// fork child first (its mappings appear before it joins the process
-// table), then live processes, then zombies — a released region may be
-// reused while its previous owner is still unreaped, so live wins and the
-// newest zombie breaks ties.
+// memObserver routes page-table mutations into the provenance plane. A
+// private address space's observer carries its owner's pid; the shared
+// one's resolves each VPN to the μprocess whose region holds it. Runs on
+// the simulation goroutine.
+type memObserver struct {
+	k   *Kernel
+	pid int32
+}
+
+// pidFor resolves a virtual page to its owning μprocess: the bound owner
+// of a private address space; otherwise the in-flight fork child first
+// (its mappings appear before it joins the process table), then live
+// processes, then zombies — a released region may be reused while its
+// previous owner is still unreaped, so live wins and the newest zombie
+// breaks ties.
 func (o memObserver) pidFor(vpn vm.VPN) int32 {
+	if o.pid != 0 {
+		return o.pid
+	}
 	va := uint64(vpn) * PageSize
 	k := o.k
 	if c := k.forkChild; c != nil && c.Region.Contains(va) {

@@ -172,20 +172,15 @@ func (k *Kernel) load(spec ProgramSpec) (*Proc, error) {
 	layout := BuildLayout(spec, k.Machine.RuntimeImagePages, k.Machine.VMImagePages)
 	region := k.Regions.reserve(layout.Bytes(), spec.Name)
 
-	as := k.SharedAS
-	if as == nil {
-		as = vm.NewAddressSpace(k.Mem)
-	}
-
 	p := &Proc{
 		k:      k,
 		PID:    k.allocPID(),
 		Spec:   spec,
 		Layout: layout,
-		AS:     as,
 		Region: region,
 		FDs:    NewFDTable(),
 	}
+	p.AS = k.addressSpaceFor(p)
 	k.initProcLocks(p)
 	k.procMu.Lock()
 	k.procs[p.PID] = p
@@ -206,7 +201,7 @@ func (k *Kernel) load(spec ProgramSpec) (*Proc, error) {
 		base := layout.SegBase(region.Base, s)
 		for i := 0; i < layout.Pages[s]; i++ {
 			va := base + uint64(i)*PageSize
-			if _, err := as.MapNew(vm.VPNOf(va), s.NaturalProt()); err != nil {
+			if _, err := p.AS.MapNew(vm.VPNOf(va), s.NaturalProt()); err != nil {
 				k.memPhase = phase0
 				return nil, fmt.Errorf("kernel: load %s %v page %d: %w", spec.Name, s, i, err)
 			}

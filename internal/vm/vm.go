@@ -193,8 +193,6 @@ type AddressSpace struct {
 	// dirPool recycles emptied directory nodes: fork/exit churn maps and
 	// unmaps tens of thousands of pages and the node allocations dominated.
 	dirPool []*pageDir
-	// scratch is the reusable VPN snapshot buffer for range walks.
-	scratch []VPN
 	// dcache is a direct-mapped cache of directory hits, so the pages of
 	// a few live regions translate without a map lookup. Unmap clears a
 	// directory's entry when it releases the directory to the pool.
@@ -406,16 +404,6 @@ func (as *AddressSpace) Lookup(vpn VPN) *PTE {
 	return nil
 }
 
-// Protect replaces the protection bits of an existing mapping.
-func (as *AddressSpace) Protect(vpn VPN, prot Prot) error {
-	pte := as.Lookup(vpn)
-	if pte == nil {
-		return fmt.Errorf("%w: vpn %#x", ErrNotMapped, vpn)
-	}
-	pte.Prot = prot
-	return nil
-}
-
 // Translate resolves va for the given access. On success it returns the
 // backing PFN and in-page offset; on failure a *Fault describing why.
 // Fault statistics are recorded.
@@ -521,88 +509,69 @@ func (as *AddressSpace) VPNs() []VPN {
 	return out
 }
 
-// snapshotRange collects the mapped VPNs of [startVPN, endVPN) in ascending
-// order into as.scratch (taking ownership of the buffer, so a walk callback
-// that itself walks this address space degrades to a fresh allocation
-// rather than corruption) and returns it. Directory keys are probed
-// sequentially — regions are contiguous, so the probe count is span/512.
-func (as *AddressSpace) snapshotRange(startVPN, endVPN VPN) []VPN {
-	scratch := as.scratch[:0]
-	as.scratch = nil
-	if startVPN >= endVPN || as.mapped == 0 {
-		return scratch
+// slotBounds returns the slots [lo, hi) of directory key that lie inside
+// [startVPN, endVPN): every slot, except in the first and last directory
+// of the range.
+func slotBounds(key, startVPN, endVPN VPN) (lo, hi VPN) {
+	lo, hi = 0, dirSize
+	if key == startVPN>>dirBits {
+		lo = startVPN & dirMask
 	}
-	startKey, endKey := startVPN>>dirBits, (endVPN-1)>>dirBits
-	for key := startKey; key <= endKey; key++ {
+	if key == (endVPN-1)>>dirBits {
+		hi = (endVPN-1)&dirMask + 1
+	}
+	return lo, hi
+}
+
+// RangeVPNs calls fn for each mapped page in [startVPN, endVPN), in
+// ascending order, handing it the page's PTE in place. Directory keys are
+// probed sequentially; regions are contiguous, so the probe count is
+// span/512.
+//
+// fn may change the protection of the PTE it is handed, and may map or
+// unmap pages outside the walked range. It must not unmap inside the
+// range: that could pool the directory being walked. A fork that maps its
+// child region while walking the parent's keeps to this, because regions
+// never share a directory.
+func (as *AddressSpace) RangeVPNs(startVPN, endVPN VPN, fn func(VPN, *PTE)) {
+	if startVPN >= endVPN || as.mapped == 0 {
+		return
+	}
+	for key := startVPN >> dirBits; key <= (endVPN-1)>>dirBits; key++ {
 		d := as.dirs[key]
 		if d == nil {
 			continue
 		}
-		lo, hi := VPN(0), VPN(dirSize)
-		if key == startKey {
-			lo = startVPN & dirMask
-		}
-		if key == endKey {
-			hi = (endVPN-1)&dirMask + 1
-		}
+		lo, hi := slotBounds(key, startVPN, endVPN)
 		for i := lo; i < hi; i++ {
-			if d.ptes[i].Page != nil {
-				scratch = append(scratch, key<<dirBits|i)
+			if pte := &d.ptes[i]; pte.Page != nil {
+				fn(key<<dirBits|i, pte)
 			}
 		}
 	}
-	return scratch
 }
 
-// RangeVPNs calls fn for each mapped page in [startVPN, endVPN), in
-// ascending order. The set of pages visited is snapshotted up front: fn may
-// map and unmap pages (anywhere) without disturbing the walk, and a page fn
-// unmaps is simply skipped when its turn comes.
-func (as *AddressSpace) RangeVPNs(startVPN, endVPN VPN, fn func(VPN, *PTE)) {
-	scratch := as.snapshotRange(startVPN, endVPN)
-	for _, vpn := range scratch {
-		if pte := as.Lookup(vpn); pte != nil {
-			fn(vpn, pte)
-		}
-	}
-	as.scratch = scratch[:0]
-}
-
-// RegionUsage summarises memory occupancy of a virtual address range.
-type RegionUsage struct {
-	MappedPages  int
-	PrivatePages int // pages whose frame has exactly one reference
-	SharedPages  int
-	PRSSBytes    uint64 // proportional set size: 4 KiB / refs per page
-	PrivateBytes uint64 // private pages × 4 KiB
-}
-
-// Usage computes occupancy statistics for the pages of [base, base+size).
-func (as *AddressSpace) Usage(base, size uint64) RegionUsage {
-	var u RegionUsage
-	as.RangeVPNs(VPNOf(base), VPNOf(base+size-1)+1, func(_ VPN, pte *PTE) {
-		u.MappedPages++
-		if pte.Page.Refs == 1 {
-			u.PrivatePages++
-			u.PRSSBytes += PageSize
-		} else {
-			u.SharedPages++
-			u.PRSSBytes += PageSize / uint64(pte.Page.Refs)
-		}
-	})
-	u.PrivateBytes = uint64(u.PrivatePages) * PageSize
-	return u
-}
-
-// UnmapRange unmaps every mapped page in [base, base+size).
+// UnmapRange unmaps every mapped page in [base, base+size), in ascending
+// order. A directory the unmaps empty is pooled, all zero, so the walk
+// leaves it as soon as it has no live slot.
 func (as *AddressSpace) UnmapRange(base, size uint64) error {
-	scratch := as.snapshotRange(VPNOf(base), VPNOf(base+size-1)+1)
-	for _, vpn := range scratch {
-		if err := as.Unmap(vpn); err != nil {
-			as.scratch = scratch[:0]
-			return err
+	startVPN, endVPN := VPNOf(base), VPNOf(base+size-1)+1
+	if startVPN >= endVPN {
+		return nil
+	}
+	for key := startVPN >> dirBits; key <= (endVPN-1)>>dirBits && as.mapped > 0; key++ {
+		d := as.dirs[key]
+		if d == nil {
+			continue
+		}
+		lo, hi := slotBounds(key, startVPN, endVPN)
+		for i := lo; i < hi && d.live > 0; i++ {
+			if d.ptes[i].Page != nil {
+				if err := as.Unmap(key<<dirBits | i); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	as.scratch = scratch[:0]
 	return nil
 }

@@ -197,39 +197,6 @@ func TestMakePrivateAdoptsLastRef(t *testing.T) {
 	}
 }
 
-func TestUsageAccounting(t *testing.T) {
-	mem := tmem.New(16)
-	as1 := NewAddressSpace(mem)
-	as2 := NewAddressSpace(mem)
-	// 2 private pages + 2 pages shared between the spaces.
-	if _, err := as1.MapNew(0, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as1.MapNew(1, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	for vpn := VPN(2); vpn < 4; vpn++ {
-		p, err := as1.MapNew(vpn, ProtRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := as2.Map(vpn, p, ProtRead); err != nil {
-			t.Fatal(err)
-		}
-	}
-	u := as1.Usage(0, 4*PageSize)
-	if u.MappedPages != 4 || u.PrivatePages != 2 || u.SharedPages != 2 {
-		t.Fatalf("usage = %+v", u)
-	}
-	wantPRSS := uint64(2*PageSize + 2*PageSize/2)
-	if u.PRSSBytes != wantPRSS {
-		t.Fatalf("PRSS = %d, want %d", u.PRSSBytes, wantPRSS)
-	}
-	if u.PrivateBytes != 2*PageSize {
-		t.Fatalf("private = %d", u.PrivateBytes)
-	}
-}
-
 func TestUnmapRange(t *testing.T) {
 	as := newAS(t, 16)
 	for vpn := VPN(0); vpn < 8; vpn++ {
