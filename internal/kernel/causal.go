@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"ufork/internal/obs/causal"
-	"ufork/internal/obs/flight"
 	"ufork/internal/sim"
 )
 
@@ -53,9 +52,7 @@ func (k *Kernel) TraceBegin(p *Proc, group, name string) {
 		return
 	}
 	p.cspan = s
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceStart, uint64(s.Trace()), 0, 0)
-	}
+	k.traceStarted(p, s.Trace())
 }
 
 // TraceEnd finishes the trace rooted at p at the instant the origin
@@ -69,13 +66,11 @@ func (k *Kernel) TraceEnd(p *Proc) {
 		return
 	}
 	t := p.Task
-	id, start := uint64(s.Trace()), s.Start
+	id, start := s.Trace(), s.Start
 	s.Checkpoint(t.Now(), t.Delays())
 	k.Causal.Close(s, t.Now())
 	p.cspan = nil
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindTraceEnd, id, uint64(t.Now()-start), 0)
-	}
+	k.traceEnded(p, id, t.Now()-start)
 }
 
 // causalExit closes p's span as the process terminates: a root dying
@@ -106,10 +101,7 @@ func (k *Kernel) causalFork(p, child *Proc, at sim.Time) {
 		return
 	}
 	child.cspan = cs
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(at), int32(p.PID), flight.KindTraceEdge,
-			uint64(s.Trace()), uint64(causal.EdgeFork), uint64(child.PID))
-	}
+	k.traceEdge(at, p.PID, s.Trace(), causal.EdgeFork, child.PID)
 }
 
 // causalAdopt joins p to the live trace a pipe stamp or signal carried,
@@ -125,10 +117,7 @@ func (k *Kernel) causalAdopt(p *Proc, kind causal.EdgeKind, id causal.TraceID, f
 		return
 	}
 	p.cspan = s
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), fromPID, flight.KindTraceEdge,
-			uint64(id), uint64(kind), uint64(p.PID))
-	}
+	k.traceEdge(t.Now(), PID(fromPID), id, kind, p.PID)
 }
 
 // causalLockSite names a contended lock for its "lock:<site>" segment

@@ -321,13 +321,13 @@ type Kernel struct {
 	Stats Stats
 
 	// Obs is the observability handle (metrics registry + span tracer).
-	// Never nil; defaults to obs.Default, and all span/histogram traffic
-	// through it is gated on the global obs.On() switch.
+	// Never nil; defaults to obs.Default. The probe (probe.go) is its one
+	// writer, behind the global obs switch.
 	Obs *obs.Obs
 
 	// Flight is the flight recorder kernel events stream into. Never nil;
-	// defaults to flight.Default (disabled until armed), so every emit
-	// point pays one atomic load when the recorder is off.
+	// defaults to flight.Default (disabled until armed), so every probe
+	// pays one atomic load for it when the recorder is off.
 	Flight *flight.Recorder
 
 	// Chaos, when non-nil, is consulted at the entry of fallible syscalls
@@ -515,43 +515,9 @@ func New(cfg Config) *Kernel {
 		Obs:     o,
 		Flight:  fr,
 	}
-	// Frame alloc/free flight events: timestamped from the running task's
-	// virtual clock (zero during pre-Run setup) and attributed to the
-	// process the kernel is currently serving. Allocation only ever happens
-	// on the simulation goroutine — parallel fork workers copy into frames
-	// allocated before the fan-out — so curPID is stable here.
-	k.Mem.SetFrameObserver(func(alloc bool, pfn tmem.PFN) {
-		if pl := k.Memmap; pl.On() {
-			if alloc {
-				pid, gen := k.curPID, 0
-				if c := k.forkChild; c != nil {
-					// Eager fork copies run on the parent's behalf but
-					// materialize the child's image.
-					pid, gen = c.PID, c.Gen
-				} else if p, ok := k.procs[pid]; ok {
-					gen = p.Gen
-				}
-				pl.OnAlloc(pfn, int32(pid), gen, k.memPhase)
-			} else {
-				pl.OnFree(pfn)
-			}
-		}
-		if !k.Flight.On() {
-			return
-		}
-		kind := flight.KindFrameAlloc
-		if !alloc {
-			kind = flight.KindFrameFree
-		}
-		k.Flight.Emit(uint64(k.Eng.Now()), int32(k.curPID), kind, uint64(pfn), 0, 0)
-	})
-	// Dispatch-queueing flight events: the engine consults this hook only
-	// when scheduler stats are armed, and only for grants that waited.
-	k.Eng.OnDispatch = func(t *sim.Task, wait sim.Time) {
-		if k.Flight.On() {
-			k.Flight.Emit(uint64(t.Now()), t.Tag, flight.KindDispatch, uint64(wait), 0, 0)
-		}
-	}
+	k.Mem.SetFrameObserver(k.frameEvent)
+	// The engine consults this hook only when scheduler stats are armed.
+	k.Eng.OnDispatch = k.dispatched
 	if cfg.Machine.SingleAddressSpace {
 		k.SharedAS = vm.NewAddressSpace(k.Mem)
 	}
@@ -785,17 +751,6 @@ func (k *Kernel) Spawn(spec ProgramSpec, start sim.Time, entry func(*Proc)) (*Pr
 
 // startProc attaches a sim task to a fully constructed Proc.
 func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
-	parent := PID(0)
-	if p.Parent != nil {
-		parent = p.Parent.PID
-	}
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(start), int32(p.PID), flight.KindProcSpawn, uint64(parent), 0, 0)
-	}
-	k.Memmap.OnSpawn(int32(p.PID), int32(parent), p.Spec.Name, p.Gen)
-	if obs.On() {
-		k.Obs.Tracer.SetProcName(int(p.PID), fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID))
-	}
 	p.Task = k.Eng.Go(fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID), start, func(t *sim.Task) {
 		defer k.reapOnReturn(p)
 		if p.Parent != nil {
@@ -805,9 +760,7 @@ func (k *Kernel) startProc(p *Proc, start sim.Time, entry func(*Proc)) {
 	})
 	p.Task.SwitchCost = k.Machine.CtxSwitch
 	p.Task.Tag = int32(p.PID)
-	if obs.On() {
-		k.Obs.Tracer.SetThreadName(int(p.PID), p.Task.ID, p.Task.Name)
-	}
+	k.spawned(p, start)
 }
 
 type exitPanic struct{ status int }
@@ -859,9 +812,7 @@ func (k *Kernel) terminate(p *Proc, status int) {
 	}
 	p.exited = true
 	p.exitStatus = status
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindProcExit, uint64(status), 0, 0)
-	}
+	k.exited(p, status)
 	k.curPID = p.PID
 	p.FDs.CloseAll(k, p)
 	// Freeze the final memory footprint into the accounting gauges before
@@ -873,7 +824,6 @@ func (k *Kernel) terminate(p *Proc, status int) {
 	if err := p.AS.UnmapRange(p.Region.Base, p.Region.Size); err != nil {
 		panic("kernel: exit unmap: " + err.Error())
 	}
-	k.Memmap.OnExit(int32(p.PID))
 	// Its image is gone: release the process's frame-ownership charge so
 	// live /procs views and the stress-soak breakdown see exited processes
 	// drop to zero instead of leaking attribution.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"ufork/internal/cap"
-	"ufork/internal/obs"
 	"ufork/internal/obs/causal"
-	"ufork/internal/obs/flight"
 	"ufork/internal/obs/memmap"
 	"ufork/internal/sim"
 	"ufork/internal/tmem"
@@ -94,11 +92,9 @@ type Proc struct {
 	// performed; the benchmark harness reads it for latency accounting.
 	LastFork ForkStats
 
-	// sysSpan is the in-flight syscall trace span (kernel entry through
-	// exit); syscalls do not nest within one μprocess, so one slot is
-	// enough. sysEnter is its start time for latency accounting and sysNo
-	// the in-flight syscall number for the flight recorder's return event.
-	sysSpan  obs.Span
+	// sysEnter is the in-flight syscall's entry time and sysNo its
+	// number; syscalls do not nest within one μprocess, so one slot is
+	// enough. The probe's return event reads both.
 	sysEnter sim.Time
 	sysNo    SysNo
 
@@ -190,16 +186,7 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 		p.k.Stats.PageFaults.Inc()
 		p.Acct.Faults.Inc()
 		p.k.curPID = p.PID
-		if p.k.Flight.On() {
-			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFault,
-				uint64(fault.Kind), fault.VA, 0)
-		}
-		var sp obs.Span
-		if obs.On() {
-			p.k.Obs.Reg.Counter("vm.fault." + fault.Kind.String()).Inc()
-			sp = p.k.Obs.Tracer.Begin(int(p.PID), p.Task.ID,
-				"fault:"+fault.Kind.String(), "vm", uint64(p.Task.Now()))
-		}
+		p.k.faultTaken(p, fault)
 		// Taking the fault costs a trap + handler dispatch. Everything
 		// from here to the handler's return is fault-service time.
 		fault0 := p.Task.Now()
@@ -251,7 +238,7 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 			p.k.locks.tmem.Unlock(p.Task)
 		}
 		if err != nil {
-			sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA))
+			p.k.faultFailed(p, fault, fault0)
 			p.k.profFaultEnd(p, pmark, "fault:error")
 			// Double-wrap so errors.Is sees both the segfault and the
 			// handler's cause (e.g. an injected tmem.ErrOutOfMemory).
@@ -268,7 +255,7 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 			p.k.lkTmem.Acquire(p.Task.Now())
 			p.k.lkTmem.ObserveHold(service)
 		}
-		mode := uint64(0) // KindFrameOwnerChange mode: 1=CoW 2=CoA 3=CoPA
+		mode := 0 // an index of faultModeNames
 		switch {
 		case relocs > 0:
 			p.Acct.FaultCoPA.Inc()
@@ -288,16 +275,6 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 			}
 		}
 		p.k.profFaultEnd(p, pmark, "fault:"+faultModeNames[mode])
-		if sp.Active() {
-			// The fault span closes on the kernel's classification of the
-			// resolution, so it names the copy mode the handler chose.
-			sp.End(uint64(p.Task.Now()), obs.A("va", fault.VA),
-				obs.S("mode", faultModeNames[mode]),
-				obs.A("pages-copied", copied), obs.A("caps", relocs))
-			if mode != 0 {
-				p.k.Obs.Reg.Counter("fault.copy-relocate").Inc()
-			}
-		}
 		if mode != 0 {
 			// The resolution broke sharing: the faulting page's frame is now
 			// exclusively owned by p (a fresh copy for CoW/CoPA, the adopted
@@ -306,33 +283,13 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 			if pte := p.AS.Lookup(vm.VPNOf(fault.VA)); pte != nil {
 				newPFN = pte.Page.PFN
 			}
-			if pl := p.k.Memmap; pl.On() {
-				if copied > 0 && newPFN != oldPFN {
-					origin := memmap.OriginCoW
-					if mode == 3 {
-						origin = memmap.OriginCoPA
-					}
-					pl.Reclassify(newPFN, origin)
-				}
-				pl.OwnerChange(newPFN, int32(p.PID), p.Gen)
-			}
-			if p.k.Flight.On() {
-				old := uint64(newPFN)
-				if oldPFN != tmem.NoFrame {
-					old = uint64(oldPFN)
-				}
-				p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID),
-					flight.KindFrameOwnerChange, uint64(newPFN), mode, old)
-			}
+			p.k.frameOwnerChange(p, oldPFN, newPFN, mode, copied > 0)
 		}
 		p.Acct.FaultCapsRelocated.Add(relocs)
 		if copied > 0 {
 			p.Acct.chargeFrames(int64(copied))
 		}
-		if p.k.Flight.On() {
-			p.k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindFaultDone,
-				uint64(fault.Kind), copied, relocs)
-		}
+		p.k.faultResolved(p, fault, fault0, mode, copied, relocs)
 		if cmark >= 0 {
 			if cs := p.k.causalSpan(p); cs != nil {
 				cs.Checkpoint(p.Task.Now(), p.Task.Delays())

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ufork/internal/cap"
-	"ufork/internal/obs"
-	"ufork/internal/obs/flight"
 	"ufork/internal/obs/memmap"
 	"ufork/internal/sim"
 )
@@ -25,14 +23,7 @@ func (k *Kernel) enter(p *Proc, no SysNo, bufBytes int) {
 	p.sysEnter = t.Now()
 	p.inSys = true
 	k.curPID = p.PID
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindSyscall, uint64(no), 0, 0)
-	}
-	if obs.On() {
-		name := no.String()
-		k.Obs.Reg.Counter("syscall." + name).Inc()
-		p.sysSpan = k.Obs.Tracer.Begin(int(p.PID), p.Task.ID, name, "syscall", uint64(t.Now()))
-	}
+	k.sysEnter(p, no)
 	// Pending kills and signals are delivered at kernel entry.
 	k.checkKilled(p)
 	k.deliverSignals(p)
@@ -88,10 +79,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 	if l == &k.locks.global {
 		p.Acct.BKLWaitNS.Add(uint64(w))
 	}
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(t.Now()), int32(p.PID), flight.KindLockWait,
-			uint64(w), uint64(p.sysNo), 0)
-	}
+	k.lockWaited(p, w)
 	if s := k.causalSpan(p); s != nil {
 		// Flush the wait into the trace under the contended site's name
 		// before another lock's wait can blur into the same bucket.
@@ -105,14 +93,7 @@ func (k *Kernel) lockWait(p *Proc, l *sim.VLock) {
 // switch with its TLB/cache maintenance (§2.2). Switches occupy the CPU,
 // so they are booked on a core rather than merely advancing the clock.
 func (k *Kernel) chargeSwitch(p *Proc) {
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindCtxSwitch,
-			uint64(k.Machine.CtxSwitch), 0, 0)
-	}
-	if obs.On() {
-		k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "ctx-switch", "sched",
-			uint64(p.Task.Now()), uint64(k.Machine.CtxSwitch))
-	}
+	k.ctxSwitch(p)
 	p.Task.Book(k.Machine.CtxSwitch)
 	k.Stats.CtxSwitches.Inc()
 }
@@ -130,17 +111,7 @@ func (k *Kernel) leave(p *Proc) {
 		p.Task.ReleaseAll()
 	}
 	p.Task.Advance(k.Machine.SyscallExit)
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(p.Task.Now()), int32(p.PID), flight.KindSysRet,
-			uint64(p.sysNo), uint64(p.Task.Now()-p.sysEnter), 0)
-	}
-	if p.sysSpan.Active() {
-		p.sysSpan.End(uint64(p.Task.Now()))
-		p.sysSpan = obs.Span{}
-		if obs.On() {
-			k.Obs.Reg.Histogram("syscall.latency").Observe(uint64(p.Task.Now() - p.sysEnter))
-		}
-	}
+	k.sysReturn(p)
 	p.inSys = false
 }
 
@@ -182,9 +153,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Forked++
 	p.Acct.Forks.Inc()
 	forkStart := p.Task.Now()
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(forkStart), int32(p.PID), flight.KindForkStart, 0, 0, 0)
-	}
+	k.forkStart(p)
 
 	child := &Proc{
 		k:          k,
@@ -282,40 +251,7 @@ func (k *Kernel) Fork(p *Proc, childEntry func(*Proc)) (PID, error) {
 	p.Acct.ForkCapsRelocated.Add(uint64(stats.CapsRelocated))
 	child.Acct.chargeFrames(int64(copiedPages))
 	child.Acct.noteBrk(child.BrkPages)
-	if k.Memmap.On() {
-		// The fork redrew both sides' sharing picture; refresh their smaps
-		// gauges so live /procs views show the post-fork footprint.
-		k.refreshMemStats(p)
-		k.refreshMemStats(child)
-	}
-
-	if k.Flight.On() {
-		k.Flight.Emit(uint64(forkStart+stats.Latency), int32(p.PID), flight.KindForkDone,
-			uint64(child.PID), uint64(copiedPages), uint64(stats.CapsRelocated))
-	}
-	if obs.On() {
-		// The fork span, then its phases laid end to end inside it and
-		// one latency histogram per phase (exported as fork_phase_* on
-		// /metrics). Zero-length phases get no span.
-		tr, reg := k.Obs.Tracer, k.Obs.Reg
-		pid, tid := int(p.PID), p.Task.ID
-		tr.Complete(pid, tid, "fork:"+k.Engine.Name(), "fork",
-			uint64(forkStart), uint64(stats.Latency),
-			obs.A("child-pid", uint64(child.PID)),
-			obs.A("ptes-copied", uint64(stats.PTEsCopied)),
-			obs.A("pages-copied", uint64(stats.PagesCopied)),
-			obs.A("proactive-pages", uint64(stats.ProactivePages)),
-			obs.A("caps-relocated", uint64(stats.CapsRelocated)))
-		reg.Histogram("fork.latency." + k.Engine.Name()).Observe(uint64(stats.Latency))
-		at := uint64(forkStart)
-		for _, ph := range phases {
-			reg.Histogram(ph.hist).Observe(uint64(ph.d))
-			if ph.d > 0 {
-				tr.Complete(pid, tid, ph.name, "fork", at, uint64(ph.d))
-				at += uint64(ph.d)
-			}
-		}
-	}
+	k.forkDone(p, child, forkStart, &stats)
 
 	// The fork call's latency is charged to the parent; the child begins
 	// at the moment fork completes, exactly like the paper's latency

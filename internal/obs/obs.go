@@ -6,11 +6,13 @@
 // WriteChrome is the repository's one trace_event writer: the tracer,
 // the flight recorder and the causal plane all export through it.
 //
-// The kernel emits fork and fault events itself. Fork engines only fill
-// kernel.ForkStats's phase fields; kernel.Fork turns those into the
+// The kernel writes to this layer from one place, its probe
+// (internal/kernel/probe.go), which also feeds the flight recorder and
+// the memmap plane from the same call. Fork engines only fill
+// kernel.ForkStats's phase fields; the probe turns those into the
 // fork:<engine> span with one span per phase laid end to end inside it,
-// and the fault path's fault:<kind> span carries the resolution's mode,
-// pages-copied and caps args.
+// and the fault:<kind> span carries the resolution's mode, pages-copied
+// and caps args.
 //
 // Design constraints, in order:
 //
@@ -25,11 +27,11 @@
 //     ring buffer takes a mutex only on the enabled path. `go test -race`
 //     covers the whole package.
 //
-// Typical hot-path shape:
+// Typical hot-path shape: whoever sees a span end records it whole.
 //
 //	if obs.On() {
-//		sp := k.Obs.Tracer.Begin(pid, tid, "fork", "kernel", now)
-//		defer sp.End(later)
+//		k.Obs.Tracer.Complete(pid, tid, "ctx-switch", "sched", now, cost)
+//		k.Obs.Reg.Histogram("syscall.latency").Observe(lat)
 //	}
 package obs
 

@@ -9,16 +9,15 @@ import "testing"
 //
 //	go test -bench Disabled -benchtime 100000000x ./internal/obs
 
-// BenchmarkDisabledSyscallProbe is the exact shape of the probe on the
-// kernel's syscall dispatch path: guard, then (skipped) span begin/end.
+// BenchmarkDisabledSyscallProbe is the exact shape of the kernel probe's
+// syscall-return path: guard, then the (skipped) span.
 func BenchmarkDisabledSyscallProbe(b *testing.B) {
 	Disable()
 	tr := NewTracer(64)
 	var spans int
 	for i := 0; i < b.N; i++ {
 		if On() {
-			sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-			sp.End(uint64(i + 1))
+			tr.Complete(1, 1, "write", "syscall", uint64(i), 1)
 			spans++
 		}
 	}
@@ -38,14 +37,13 @@ func BenchmarkDisabledHistogramProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledSpanBegin measures the inert-span fallback itself: the
-// Begin call made without a guard (nil-or-disabled check inside).
-func BenchmarkDisabledSpanBegin(b *testing.B) {
+// BenchmarkDisabledComplete measures the tracer's own fallback: the
+// Complete call made without a guard (nil-or-disabled check inside).
+func BenchmarkDisabledComplete(b *testing.B) {
 	Disable()
 	tr := NewTracer(64)
 	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-		sp.End(uint64(i + 1))
+		tr.Complete(1, 1, "write", "syscall", uint64(i), 1)
 	}
 	if got := len(tr.Events()); got != 0 {
 		b.Fatalf("disabled tracer recorded %d events", got)
@@ -65,15 +63,14 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 // BenchmarkEnabledSpan is the contrast case: the full enabled-path cost of
-// one begin/end pair through the ring buffer.
+// one span through the ring buffer.
 func BenchmarkEnabledSpan(b *testing.B) {
 	Enable()
 	b.Cleanup(Disable)
 	tr := NewTracer(1 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(1, 1, "write", "syscall", uint64(i))
-		sp.End(uint64(i + 1))
+		tr.Complete(1, 1, "write", "syscall", uint64(i), 1)
 	}
 }
 

@@ -30,7 +30,9 @@ func S(key, val string) Arg { return Arg{Key: key, Str: val} }
 
 // Event is one trace record. Phase follows the Chrome trace_event
 // vocabulary: 'X' complete (has Dur), 'i' instant, 's'/'f' flow start
-// and finish (paired by ID).
+// and finish (paired by ID). The tracer records only complete events;
+// the flight recorder and the causal plane write the other phases
+// through WriteChrome.
 type Event struct {
 	Name  string
 	Cat   string
@@ -50,28 +52,19 @@ type Track struct {
 	Name     string
 }
 
-type openSpan struct {
-	serial uint64
-	name   string
-}
-
-// Tracer records spans and instant events into a fixed-capacity ring
-// buffer; when the ring wraps, the oldest events are dropped (counted in
-// Dropped). Timestamps are caller-provided sim-clock nanoseconds, so the
-// tracer itself never perturbs virtual time.
+// Tracer records complete spans into a fixed-capacity ring buffer; when
+// the ring wraps, the oldest events are dropped (counted in Dropped). A
+// span is recorded once, by whoever sees its end, with Complete.
+// Timestamps are caller-provided sim-clock nanoseconds, so the tracer
+// itself never perturbs virtual time.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of oldest event
-	n       int // live events
-	serial  uint64
-	dropped uint64
-	// open tracks per-(pid,tid) begin/end pairing: spans on one thread
-	// must close LIFO for the trace to nest.
-	open      map[uint64][]openSpan
-	mispaired uint64
-	procName  map[int]string
-	thrName   map[uint64]string
+	mu       sync.Mutex
+	buf      []Event
+	start    int // index of oldest event
+	n        int // live events
+	dropped  uint64
+	procName map[int]string
+	thrName  map[uint64]string
 }
 
 // NewTracer creates a tracer holding at most capacity events.
@@ -81,7 +74,6 @@ func NewTracer(capacity int) *Tracer {
 	}
 	return &Tracer{
 		buf:      make([]Event, 0, capacity),
-		open:     make(map[uint64][]openSpan),
 		procName: make(map[int]string),
 		thrName:  make(map[uint64]string),
 	}
@@ -115,88 +107,14 @@ func (t *Tracer) push(ev Event) {
 	t.dropped++
 }
 
-// Span is an in-flight interval returned by Begin. The zero value is
-// inert: End on it is a no-op, which is what Begin returns when tracing
-// is off so call sites need no second guard.
-type Span struct {
-	tr     *Tracer
-	serial uint64
-	name   string
-	cat    string
-	pid    int
-	tid    int
-	start  uint64
-}
-
-// Active reports whether the span will record anything on End.
-func (s Span) Active() bool { return s.tr != nil }
-
-// Begin opens a span at sim-time ts. Spans on the same (pid, tid) must be
-// ended in LIFO order; violations are counted in Mispaired.
-func (t *Tracer) Begin(pid, tid int, name, cat string, ts uint64) Span {
-	if t == nil || Disabled() {
-		return Span{}
-	}
-	t.mu.Lock()
-	t.serial++
-	sp := Span{tr: t, serial: t.serial, name: name, cat: cat, pid: pid, tid: tid, start: ts}
-	key := threadKey(pid, tid)
-	t.open[key] = append(t.open[key], openSpan{serial: sp.serial, name: name})
-	t.mu.Unlock()
-	return sp
-}
-
-// End closes the span at sim-time ts, recording a complete ('X') event.
-func (s Span) End(ts uint64, args ...Arg) {
-	if s.tr == nil {
-		return
-	}
-	t := s.tr
-	t.mu.Lock()
-	key := threadKey(s.pid, s.tid)
-	stack := t.open[key]
-	if n := len(stack); n > 0 && stack[n-1].serial == s.serial {
-		t.open[key] = stack[:n-1]
-	} else {
-		// Out-of-order end: drop this span (and anything above it) from
-		// the pairing stack and count the violation.
-		t.mispaired++
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].serial == s.serial {
-				t.open[key] = stack[:i]
-				break
-			}
-		}
-	}
-	dur := uint64(0)
-	if ts > s.start {
-		dur = ts - s.start
-	}
-	t.push(Event{Name: s.name, Cat: s.cat, Phase: 'X', TS: s.start, Dur: dur,
-		PID: s.pid, TID: s.tid, Args: args})
-	t.mu.Unlock()
-}
-
-// Complete records a closed interval directly, bypassing pairing — used
-// for phase breakdowns reconstructed from accumulated costs, where begin
-// and end are known at once.
+// Complete records the span [ts, ts+dur) as one complete ('X') event. A
+// nil or disabled tracer records nothing.
 func (t *Tracer) Complete(pid, tid int, name, cat string, ts, dur uint64, args ...Arg) {
 	if t == nil || Disabled() {
 		return
 	}
 	t.mu.Lock()
 	t.push(Event{Name: name, Cat: cat, Phase: 'X', TS: ts, Dur: dur,
-		PID: pid, TID: tid, Args: args})
-	t.mu.Unlock()
-}
-
-// Instant records a point event.
-func (t *Tracer) Instant(pid, tid int, name, cat string, ts uint64, args ...Arg) {
-	if t == nil || Disabled() {
-		return
-	}
-	t.mu.Lock()
-	t.push(Event{Name: name, Cat: cat, Phase: 'i', TS: ts,
 		PID: pid, TID: tid, Args: args})
 	t.mu.Unlock()
 }
@@ -212,24 +130,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// OpenSpans returns the number of begun-but-not-ended spans.
-func (t *Tracer) OpenSpans() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, s := range t.open {
-		n += len(s)
-	}
-	return n
-}
-
-// Mispaired returns the number of LIFO-pairing violations observed.
-func (t *Tracer) Mispaired() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mispaired
-}
-
 // Dropped returns the number of events evicted by ring wrap-around.
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
@@ -237,14 +137,13 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Reset discards all events and pairing state (names are kept).
+// Reset discards all events (names are kept).
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.buf = t.buf[:0]
 	t.start, t.n = 0, 0
-	t.dropped, t.mispaired, t.serial = 0, 0, 0
-	t.open = make(map[uint64][]openSpan)
+	t.dropped = 0
 }
 
 // WriteChromeTrace serializes the buffer with WriteChrome: track names

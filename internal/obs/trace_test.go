@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,99 +20,17 @@ func withObs(t *testing.T) {
 	t.Cleanup(Disable)
 }
 
-func TestSpanNesting(t *testing.T) {
-	withObs(t)
-	tr := NewTracer(16)
-
-	outer := tr.Begin(1, 1, "fork", "syscall", 100)
-	inner := tr.Begin(1, 1, "relocation-scan", "fork", 200)
-	if tr.OpenSpans() != 2 {
-		t.Fatalf("OpenSpans = %d, want 2", tr.OpenSpans())
-	}
-	inner.End(300)
-	outer.End(400)
-
-	if tr.OpenSpans() != 0 {
-		t.Errorf("OpenSpans = %d, want 0", tr.OpenSpans())
-	}
-	if tr.Mispaired() != 0 {
-		t.Errorf("Mispaired = %d, want 0", tr.Mispaired())
-	}
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events, want 2", len(evs))
-	}
-	// Inner ends first so it is recorded first; nesting in the viewer comes
-	// from timestamp containment: [200,300) ⊂ [100,400).
-	if evs[0].Name != "relocation-scan" || evs[0].TS != 200 || evs[0].Dur != 100 {
-		t.Errorf("inner = %+v", evs[0])
-	}
-	if evs[1].Name != "fork" || evs[1].TS != 100 || evs[1].Dur != 300 {
-		t.Errorf("outer = %+v", evs[1])
-	}
-	if !(evs[1].TS <= evs[0].TS && evs[0].TS+evs[0].Dur <= evs[1].TS+evs[1].Dur) {
-		t.Errorf("inner [%d,%d) not contained in outer [%d,%d)",
-			evs[0].TS, evs[0].TS+evs[0].Dur, evs[1].TS, evs[1].TS+evs[1].Dur)
-	}
-}
-
-func TestSpanMispairing(t *testing.T) {
-	withObs(t)
-	tr := NewTracer(16)
-
-	a := tr.Begin(1, 1, "a", "t", 0)
-	b := tr.Begin(1, 1, "b", "t", 10)
-	a.End(20) // out of order: b is still open
-	if tr.Mispaired() != 1 {
-		t.Errorf("Mispaired = %d, want 1", tr.Mispaired())
-	}
-	// Ending a unwound b from the pairing stack too.
-	if tr.OpenSpans() != 0 {
-		t.Errorf("OpenSpans = %d, want 0 after unwind", tr.OpenSpans())
-	}
-	b.End(30) // its stack entry is gone: a second violation
-	if tr.Mispaired() != 2 {
-		t.Errorf("Mispaired = %d, want 2", tr.Mispaired())
-	}
-	// Both events are still recorded — mispairing is diagnosed, not dropped.
-	if got := len(tr.Events()); got != 2 {
-		t.Errorf("events = %d, want 2", got)
-	}
-}
-
-func TestSpanThreadsIndependent(t *testing.T) {
-	withObs(t)
-	tr := NewTracer(16)
-
-	// Interleaved spans on different (pid,tid) tracks are not mispaired.
-	a := tr.Begin(1, 1, "a", "t", 0)
-	b := tr.Begin(2, 7, "b", "t", 5)
-	a.End(10)
-	b.End(15)
-	if tr.Mispaired() != 0 {
-		t.Errorf("Mispaired = %d, want 0 across threads", tr.Mispaired())
-	}
-}
-
 func TestSpanDisabledInert(t *testing.T) {
 	Disable()
 	tr := NewTracer(16)
-	sp := tr.Begin(1, 1, "a", "t", 0)
-	if sp.Active() {
-		t.Fatal("Begin while disabled returned an active span")
-	}
-	sp.End(10)
 	tr.Complete(1, 1, "c", "t", 0, 5)
-	tr.Instant(1, 1, "i", "t", 0)
 	if got := len(tr.Events()); got != 0 {
 		t.Errorf("disabled tracer recorded %d events", got)
 	}
-	// The zero-value span is safe too (what call sites hold before Begin).
-	var zero Span
-	zero.End(99)
 	// A nil tracer must also be inert: kernels without obs pass nil around.
 	var nilTr *Tracer
-	nilTr.Begin(1, 1, "a", "t", 0).End(1)
+	Enable()
+	t.Cleanup(Disable)
 	nilTr.Complete(1, 1, "c", "t", 0, 1)
 }
 
@@ -132,19 +51,24 @@ func TestRingEviction(t *testing.T) {
 
 func TestTracerReset(t *testing.T) {
 	withObs(t)
-	tr := NewTracer(4)
-	tr.Begin(1, 1, "open", "t", 0) // deliberately left open
+	tr := NewTracer(1)
+	tr.Complete(1, 1, "evicted", "t", 0, 1)
 	tr.Complete(1, 1, "done", "t", 0, 1)
 	tr.Reset()
-	if len(tr.Events()) != 0 || tr.OpenSpans() != 0 || tr.Dropped() != 0 || tr.Mispaired() != 0 {
-		t.Errorf("Reset left state: events=%d open=%d dropped=%d mispaired=%d",
-			len(tr.Events()), tr.OpenSpans(), tr.Dropped(), tr.Mispaired())
+	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
+		t.Errorf("Reset left state: events=%d dropped=%d", len(tr.Events()), tr.Dropped())
 	}
 }
 
+// goldenInstant is the golden trace's one instant event. The tracer
+// records only complete spans, so it reaches the trace through
+// WriteChrome.
+var goldenInstant = Event{Name: "ctx-switch", Cat: "sched", Phase: 'i', TS: 52000, PID: 1, TID: 1}
+
 // buildGoldenTrace assembles a small deterministic trace exercising every
-// serialized feature: metadata, nested spans, args, instant events,
-// multiple tracks, sub-microsecond timestamps.
+// serialized feature: metadata, nested spans, args, multiple tracks,
+// sub-microsecond timestamps. Spans are recorded when they end, so the
+// enclosing fork and fault spans follow the spans inside them.
 func buildGoldenTrace() *Tracer {
 	tr := NewTracer(64)
 	tr.SetProcName(1, "redis (pid 1)")
@@ -152,23 +76,36 @@ func buildGoldenTrace() *Tracer {
 	tr.SetThreadName(1, 1, "task-1")
 	tr.SetThreadName(2, 2, "task-2")
 
-	fork := tr.Begin(1, 1, "fork:uFork/CoPA", "syscall", 1000)
 	tr.Complete(1, 1, "reserve", "fork", 1000, 0, A("region-base", 0x40000000), A("region-size", 0x200000))
 	tr.Complete(1, 1, "pte-copy", "fork", 1000, 220, A("ptes", 180))
 	tr.Complete(1, 1, "eager-copy", "fork", 1220, 3300, A("pages", 12), A("proactive", 12))
 	tr.Complete(1, 1, "relocation-scan", "fork", 2420, 2100, A("caps", 96))
-	fork.End(51814, A("child-pid", 2))
-	tr.Instant(1, 1, "ctx-switch", "sched", 52000)
-	fault := tr.Begin(2, 2, "fault:cap-load", "vm", 60000)
+	tr.Complete(1, 1, "fork:uFork/CoPA", "syscall", 1000, 50814, A("child-pid", 2))
 	tr.Complete(2, 2, "copy+relocate", "fault", 60100, 777, A("pages-copied", 1), A("caps", 3))
-	fault.End(61500, A("va", 0x40011008))
+	tr.Complete(2, 2, "fault:cap-load", "vm", 60000, 1500, A("va", 0x40011008))
 	return tr
+}
+
+// goldenTracks are the tracks buildGoldenTrace names, in export order.
+var goldenTracks = []Track{
+	{PID: 1, TID: -1, Name: "redis (pid 1)"},
+	{PID: 2, TID: -1, Name: "redis (pid 2)"},
+	{PID: 1, TID: 1, Name: "task-1"},
+	{PID: 2, TID: 2, Name: "task-2"},
+}
+
+// writeGoldenTrace writes the golden trace: the tracer's tracks and
+// spans, with goldenInstant after the fork span.
+func writeGoldenTrace(w io.Writer) error {
+	evs := buildGoldenTrace().Events()
+	evs = append(evs[:5:5], append([]Event{goldenInstant}, evs[5:]...)...)
+	return WriteChrome(w, goldenTracks, evs)
 }
 
 func TestWriteChromeTraceGolden(t *testing.T) {
 	withObs(t)
 	var buf bytes.Buffer
-	if err := buildGoldenTrace().WriteChromeTrace(&buf); err != nil {
+	if err := writeGoldenTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,12 +125,25 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace output differs from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
 	}
+	// The tracer's own export writes the tracks it was given names for,
+	// sorted, and then its spans.
+	tr := buildGoldenTrace()
+	var own, spans bytes.Buffer
+	if err := tr.WriteChromeTrace(&own); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChrome(&spans, goldenTracks, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(own.Bytes(), spans.Bytes()) {
+		t.Errorf("tracer export:\n%s\nwant:\n%s", own.Bytes(), spans.Bytes())
+	}
 }
 
 func TestWriteChromeTraceWellFormed(t *testing.T) {
 	withObs(t)
 	var buf bytes.Buffer
-	if err := buildGoldenTrace().WriteChromeTrace(&buf); err != nil {
+	if err := writeGoldenTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -87,13 +87,7 @@ func WriteMetrics(w io.Writer, e Exposition) error {
 		h := e.Hists[n]
 		m := "ufork_" + sanitize(n) + "_ns"
 		fmt.Fprintf(bw, "# HELP %s virtual-time histogram %s (ns)\n# TYPE %s histogram\n", m, n, m)
-		bounds, cum := h.Buckets()
-		for i, b := range bounds {
-			fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", m, b, cum[i])
-		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", m, cum[len(cum)-1])
-		fmt.Fprintf(bw, "%s_sum %d\n", m, h.Sum())
-		fmt.Fprintf(bw, "%s_count %d\n", m, h.Count())
+		writeHist(bw, m, "", h, plain)
 	}
 
 	writeProcMetrics(bw, e.Procs)
@@ -213,9 +207,14 @@ func secs(ns uint64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
+// plain renders a count or a virtual-ns quantity as a plain integer.
+func plain(v uint64) string { return strconv.FormatUint(v, 10) }
+
 // writeHist renders one histogram's bucket/sum/count series under name.
 // labels is the rendered label set without braces ("" for none); val maps
 // a raw bound or sum onto its exposition string (seconds or plain count).
+// A live histogram may gain observations while it renders, so _count is
+// the +Inf bucket of the same cumulative read, never a second one.
 func writeHist(bw *bufio.Writer, name, labels string, h *obs.Histogram, val func(uint64) string) {
 	brace := func(extra string) string {
 		switch {
@@ -235,7 +234,7 @@ func writeHist(bw *bufio.Writer, name, labels string, h *obs.Histogram, val func
 	}
 	fmt.Fprintf(bw, "%s_bucket%s %d\n", name, brace(`le="+Inf"`), cum[len(cum)-1])
 	fmt.Fprintf(bw, "%s_sum%s %s\n", name, brace(""), val(h.Sum()))
-	fmt.Fprintf(bw, "%s_count%s %d\n", name, brace(""), h.Count())
+	fmt.Fprintf(bw, "%s_count%s %d\n", name, brace(""), cum[len(cum)-1])
 }
 
 // writeLockMetrics renders the lockstat families: per-lock acquisition
@@ -278,9 +277,7 @@ func writeSchedMetrics(bw *bufio.Writer, s *sim.SchedStats) {
 	snap := s.Snapshot()
 	fmt.Fprintf(bw, "# HELP ufork_sched_runq_depth runnable tasks left in the queue at each dispatch\n"+
 		"# TYPE ufork_sched_runq_depth histogram\n")
-	writeHist(bw, "ufork_sched_runq_depth", "", s.RunqDepth, func(v uint64) string {
-		return strconv.FormatUint(v, 10)
-	})
+	writeHist(bw, "ufork_sched_runq_depth", "", s.RunqDepth, plain)
 	fmt.Fprintf(bw, "# HELP ufork_sched_dispatch_wait_seconds virtual time runnable tasks queued for a core\n"+
 		"# TYPE ufork_sched_dispatch_wait_seconds histogram\n")
 	writeHist(bw, "ufork_sched_dispatch_wait_seconds", "", s.DispatchWait, secs)
