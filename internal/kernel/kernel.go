@@ -516,7 +516,6 @@ func New(cfg Config) *Kernel {
 		Flight:  fr,
 	}
 	k.Mem.SetFrameObserver(k.frameEvent)
-	// The engine consults this hook only when scheduler stats are armed.
 	k.Eng.OnDispatch = k.dispatched
 	if cfg.Machine.SingleAddressSpace {
 		k.SharedAS = vm.NewAddressSpace(k.Mem)

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"ufork/internal/obs"
 	"ufork/internal/obs/causal"
 	"ufork/internal/obs/flight"
@@ -12,26 +10,20 @@ import (
 	"ufork/internal/vm"
 )
 
-// This file is the kernel's one probe point. Each kernel event — syscall
-// entry and return, lock waits, context switches, faults, frame traffic,
-// fork, spawn, exit, dispatch and causal-trace handoffs — is one call to
-// a method here, and that method hands it, in plain code, to every plane
-// that records it: the flight recorder (k.Flight), the obs registry and
-// tracer (k.Obs, behind obs.On()), and the memmap provenance plane
-// (k.Memmap). No other non-test code in the package writes to those
-// planes. DESIGN.md ("Kernel events") maps each kind to its planes.
-//
-// Four hooks keep their own form, because each needs state a one-shot
-// event does not carry: causal checkpoints (causal.go), the profiler's
-// fault windows (profile.go), lockstat meters, and the vm mapping
-// observer (memObserver). Every plane is off by default; a disabled
-// probe costs one atomic load per plane and never advances a virtual
-// clock.
+// This file is the kernel's one probe point: each kernel event is one
+// call to a method here, which hands it, in plain code, to every plane
+// that records it — the flight recorder (k.Flight), the obs registry and
+// tracer (k.Obs, behind the global obs switch) and the memmap provenance
+// plane (k.Memmap). No other non-test code in the package writes to
+// them; DESIGN.md ("Kernel events") maps each event to its planes. Four
+// hooks keep their own form because they need state a one-shot event
+// does not carry: causal checkpoints, the profiler's fault windows,
+// lockstat meters and the vm mapping observer (memObserver). A disarmed
+// plane costs one atomic load, and no probe advances a virtual clock.
 
 // emit records one flight event; a holds the kind's arguments. It is the
-// probe's off-path guard and inlines (cost 80 of 80 on go1.24), so with
-// the recorder disarmed it costs one atomic load. Each extra parameter
-// costs one unit, hence the arguments travel as one array.
+// probe's off-path guard and inlines (cost 80 of 80 on go1.24): each
+// parameter costs a unit, hence one array for the arguments.
 func (k *Kernel) emit(ts sim.Time, pid PID, kind flight.Kind, a [3]uint64) {
 	if k.Flight.On() {
 		k.record(ts, pid, kind, a)
@@ -51,9 +43,8 @@ func (k *Kernel) sysEnter(p *Proc, no SysNo) {
 	}
 }
 
-// sysReturn is syscall return; the syscall's span, from entry to now,
-// closes here. The self-kill path leaves a syscall twice: both returns
-// reach flight, but only the first closes a span.
+// sysReturn is syscall return, which closes the syscall's span. The
+// self-kill path returns twice; only the first return closes a span.
 func (k *Kernel) sysReturn(p *Proc) {
 	now := p.Task.Now()
 	lat := uint64(now - p.sysEnter)
@@ -69,7 +60,7 @@ func (k *Kernel) lockWaited(p *Proc, w sim.Time) {
 	k.emit(p.Task.Now(), p.PID, flight.KindLockWait, [3]uint64{uint64(w), uint64(p.sysNo)})
 }
 
-// ctxSwitch is one scheduler context switch billed to p, starting now.
+// ctxSwitch is a scheduler context switch billed to p from now.
 func (k *Kernel) ctxSwitch(p *Proc) {
 	now, cost := p.Task.Now(), k.Machine.CtxSwitch
 	k.emit(now, p.PID, flight.KindCtxSwitch, [3]uint64{uint64(cost)})
@@ -86,8 +77,7 @@ func (k *Kernel) faultTaken(p *Proc, f *vm.Fault) {
 	}
 }
 
-// faultFailed is a fault, taken at start, whose handler failed: p
-// segfaults.
+// faultFailed is a fault taken at start whose handler failed.
 func (k *Kernel) faultFailed(p *Proc, f *vm.Fault, start sim.Time) {
 	if obs.On() {
 		k.Obs.Tracer.Complete(int(p.PID), p.Task.ID, "fault:"+f.Kind.String(), "vm",
@@ -95,10 +85,14 @@ func (k *Kernel) faultFailed(p *Proc, f *vm.Fault, start sim.Time) {
 	}
 }
 
-// faultResolved is a fault, taken at start, resolved now in mode (an
-// index of faultModeNames) after copying copied pages and relocating
-// relocs capabilities. Its span names the mode the kernel classified.
-func (k *Kernel) faultResolved(p *Proc, f *vm.Fault, start sim.Time, mode int, copied, relocs uint64) {
+// faultResolved is a fault taken at start and resolved now in mode (an
+// index of faultModeNames) by copying copied pages and relocating relocs
+// capabilities. oldPFN is the faulting page's frame before the handler
+// ran. Its span names the mode the kernel classified.
+func (k *Kernel) faultResolved(p *Proc, f *vm.Fault, start sim.Time, oldPFN tmem.PFN, mode int, copied, relocs uint64) {
+	if mode != 0 {
+		k.frameOwnerChange(p, f.VA, oldPFN, mode, copied > 0)
+	}
 	now := p.Task.Now()
 	k.emit(now, p.PID, flight.KindFaultDone, [3]uint64{uint64(f.Kind), copied, relocs})
 	if obs.On() {
@@ -111,52 +105,49 @@ func (k *Kernel) faultResolved(p *Proc, f *vm.Fault, start sim.Time, mode int, c
 	}
 }
 
-// frameOwnerChange is a fault resolution in mode that broke sharing: p
-// now owns newPFN exclusively, split from oldPFN (tmem.NoFrame when the
-// page had no frame). copied says the resolution made a fresh copy.
-func (k *Kernel) frameOwnerChange(p *Proc, oldPFN, newPFN tmem.PFN, mode int, copied bool) {
-	if pl := k.Memmap; pl.On() {
-		if copied && newPFN != oldPFN {
-			origin := memmap.OriginCoW
-			if mode == 3 {
-				origin = memmap.OriginCoPA
-			}
-			pl.Reclassify(newPFN, origin)
-		}
-		pl.OwnerChange(newPFN, int32(p.PID), p.Gen)
+// frameOwnerChange is a fault resolution in mode that broke sharing on
+// the page holding va: p now owns its frame exclusively (a fresh copy
+// when copied, else the adopted last reference), split from oldPFN.
+func (k *Kernel) frameOwnerChange(p *Proc, va uint64, oldPFN tmem.PFN, mode int, copied bool) {
+	newPFN := oldPFN
+	if pte := p.AS.Lookup(vm.VPNOf(va)); pte != nil {
+		newPFN = pte.Page.PFN
 	}
+	if copied && newPFN != oldPFN {
+		origin := memmap.OriginCoW
+		if mode == 3 {
+			origin = memmap.OriginCoPA
+		}
+		k.Memmap.Reclassify(newPFN, origin)
+	}
+	k.Memmap.OwnerChange(newPFN, int32(p.PID), p.Gen)
 	from := newPFN
 	if oldPFN != tmem.NoFrame {
 		from = oldPFN
 	}
-	k.emit(p.Task.Now(), p.PID, flight.KindFrameOwnerChange,
-		[3]uint64{uint64(newPFN), uint64(mode), uint64(from)})
+	k.emit(p.Task.Now(), p.PID, flight.KindFrameOwnerChange, [3]uint64{uint64(newPFN), uint64(mode), uint64(from)})
 }
 
-// frameEvent is a frame allocation (alloc) or free, attributed to the
-// process the kernel is serving and timed by the running task's clock
-// (zero before Run). Frames are only allocated on the simulation
-// goroutine — parallel fork workers copy into frames allocated before
-// the fan-out — so curPID is stable here.
+// frameEvent is a frame allocation (alloc) or free, on behalf of the
+// process the kernel is serving and at the running task's time (zero
+// before Run). Only the simulation goroutine allocates — parallel fork
+// workers copy into frames allocated before the fan-out — so curPID is
+// stable here.
 func (k *Kernel) frameEvent(alloc bool, pfn tmem.PFN) {
-	if pl := k.Memmap; pl.On() {
-		if alloc {
-			pid, gen := k.curPID, 0
-			if c := k.forkChild; c != nil {
-				// Eager fork copies run on the parent's behalf but
-				// materialize the child's image.
-				pid, gen = c.PID, c.Gen
-			} else if p, ok := k.procs[pid]; ok {
-				gen = p.Gen
-			}
-			pl.OnAlloc(pfn, int32(pid), gen, k.memPhase)
-		} else {
-			pl.OnFree(pfn)
-		}
-	}
 	kind := flight.KindFrameAlloc
 	if !alloc {
 		kind = flight.KindFrameFree
+		k.Memmap.OnFree(pfn)
+	} else if k.Memmap.On() {
+		pid, gen := k.curPID, 0
+		if c := k.forkChild; c != nil {
+			// Eager fork copies run on the parent's behalf but
+			// materialize the child's image.
+			pid, gen = c.PID, c.Gen
+		} else if p, ok := k.procs[pid]; ok {
+			gen = p.Gen
+		}
+		k.Memmap.OnAlloc(pfn, int32(pid), gen, k.memPhase)
 	}
 	k.emit(k.Eng.Now(), k.curPID, kind, [3]uint64{uint64(pfn)})
 }
@@ -166,11 +157,11 @@ func (k *Kernel) forkStart(p *Proc) {
 	k.emit(p.Task.Now(), p.PID, flight.KindForkStart, [3]uint64{})
 }
 
-// forkDone is a completed fork of child that started at start. The obs
-// planes get the fork span, its phases laid end to end inside it and one
-// latency histogram per phase (exported as fork_phase_* on /metrics);
-// zero-length phases get no span. An armed memmap plane has both sides'
-// smaps gauges refreshed, since the fork redrew their sharing picture.
+// forkDone is a completed fork of child that started at start. The
+// tracer gets the fork span with its phases laid end to end inside it
+// (zero-length phases get none), the registry one latency histogram per
+// phase (fork_phase_* on /metrics), and an armed memmap plane has both
+// sides' smaps gauges refreshed, as the fork redrew their sharing.
 func (k *Kernel) forkDone(p, child *Proc, start sim.Time, stats *ForkStats) {
 	if k.Memmap.On() {
 		k.refreshMemStats(p)
@@ -201,7 +192,7 @@ func (k *Kernel) forkDone(p, child *Proc, start sim.Time, stats *ForkStats) {
 	}
 }
 
-// spawned is a μprocess whose task starts at start.
+// spawned is a new μprocess, whose task starts at start.
 func (k *Kernel) spawned(p *Proc, start sim.Time) {
 	parent := PID(0)
 	if p.Parent != nil {
@@ -210,7 +201,7 @@ func (k *Kernel) spawned(p *Proc, start sim.Time) {
 	k.emit(start, p.PID, flight.KindProcSpawn, [3]uint64{uint64(parent)})
 	k.Memmap.OnSpawn(int32(p.PID), int32(parent), p.Spec.Name, p.Gen)
 	if obs.On() {
-		k.Obs.Tracer.SetProcName(int(p.PID), fmt.Sprintf("%s[%d]", p.Spec.Name, p.PID))
+		k.Obs.Tracer.SetProcName(int(p.PID), p.Task.Name)
 		k.Obs.Tracer.SetThreadName(int(p.PID), p.Task.ID, p.Task.Name)
 	}
 }
@@ -221,25 +212,24 @@ func (k *Kernel) exited(p *Proc, status int) {
 	k.Memmap.OnExit(int32(p.PID))
 }
 
-// dispatched is a core grant to t that queued for wait behind busy
-// cores. The engine reports only grants that waited, and only while
-// scheduler stats are armed.
+// dispatched is a core grant to t that queued for wait. The engine
+// reports only grants that waited, and only with scheduler stats armed.
 func (k *Kernel) dispatched(t *sim.Task, wait sim.Time) {
 	k.emit(t.Now(), PID(t.Tag), flight.KindDispatch, [3]uint64{uint64(wait)})
 }
 
-// traceStarted is an op minting causal trace id on p.
+// traceStarted is an op on p minting causal trace id.
 func (k *Kernel) traceStarted(p *Proc, id causal.TraceID) {
 	k.emit(p.Task.Now(), p.PID, flight.KindTraceStart, [3]uint64{uint64(id)})
 }
 
-// traceEdge is a handoff of kind at time at that pulled peer into trace
-// id from process from.
+// traceEdge is a kind handoff at time at from process from that pulled
+// peer into trace id.
 func (k *Kernel) traceEdge(at sim.Time, from PID, id causal.TraceID, kind causal.EdgeKind, peer PID) {
 	k.emit(at, from, flight.KindTraceEdge, [3]uint64{uint64(id), uint64(kind), uint64(peer)})
 }
 
-// traceEnded is the close of trace id rooted at p, whose op took lat.
+// traceEnded is the end of trace id, rooted at p, whose op took lat.
 func (k *Kernel) traceEnded(p *Proc, id causal.TraceID, lat sim.Time) {
 	k.emit(p.Task.Now(), p.PID, flight.KindTraceEnd, [3]uint64{uint64(id), uint64(lat)})
 }

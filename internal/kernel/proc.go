@@ -275,21 +275,11 @@ func (p *Proc) translateFault(va uint64, acc vm.Access, fault *vm.Fault) (tmem.P
 			}
 		}
 		p.k.profFaultEnd(p, pmark, "fault:"+faultModeNames[mode])
-		if mode != 0 {
-			// The resolution broke sharing: the faulting page's frame is now
-			// exclusively owned by p (a fresh copy for CoW/CoPA, the adopted
-			// last reference for CoA). Record who broke sharing and why.
-			newPFN := oldPFN
-			if pte := p.AS.Lookup(vm.VPNOf(fault.VA)); pte != nil {
-				newPFN = pte.Page.PFN
-			}
-			p.k.frameOwnerChange(p, oldPFN, newPFN, mode, copied > 0)
-		}
 		p.Acct.FaultCapsRelocated.Add(relocs)
 		if copied > 0 {
 			p.Acct.chargeFrames(int64(copied))
 		}
-		p.k.faultResolved(p, fault, fault0, mode, copied, relocs)
+		p.k.faultResolved(p, fault, fault0, oldPFN, mode, copied, relocs)
 		if cmark >= 0 {
 			if cs := p.k.causalSpan(p); cs != nil {
 				cs.Checkpoint(p.Task.Now(), p.Task.Delays())

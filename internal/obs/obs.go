@@ -55,10 +55,6 @@ func Disable() { enabled.Store(false) }
 // hot-path probe: one atomic load.
 func On() bool { return enabled.Load() }
 
-// Disabled is the nop-path predicate: true (the default) means every
-// instrumentation site must fall through without allocating or locking.
-func Disabled() bool { return !enabled.Load() }
-
 // Obs bundles one registry and one tracer — the handle a kernel instance
 // carries so experiments can run side by side without sharing state.
 type Obs struct {

@@ -58,13 +58,12 @@ type Track struct {
 // Timestamps are caller-provided sim-clock nanoseconds, so the tracer
 // itself never perturbs virtual time.
 type Tracer struct {
-	mu       sync.Mutex
-	buf      []Event
-	start    int // index of oldest event
-	n        int // live events
-	dropped  uint64
-	procName map[int]string
-	thrName  map[uint64]string
+	mu      sync.Mutex
+	buf     []Event
+	start   int // index of oldest event
+	n       int // live events
+	dropped uint64
+	names   map[[2]int]string // track names by (pid, tid); tid -1 names a process
 }
 
 // NewTracer creates a tracer holding at most capacity events.
@@ -72,26 +71,18 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{
-		buf:      make([]Event, 0, capacity),
-		procName: make(map[int]string),
-		thrName:  make(map[uint64]string),
-	}
+	return &Tracer{buf: make([]Event, 0, capacity), names: make(map[[2]int]string)}
 }
-
-func threadKey(pid, tid int) uint64 { return uint64(uint32(pid))<<32 | uint64(uint32(tid)) }
 
 // SetProcName names a pid for the exported trace.
-func (t *Tracer) SetProcName(pid int, name string) {
-	t.mu.Lock()
-	t.procName[pid] = name
-	t.mu.Unlock()
-}
+func (t *Tracer) SetProcName(pid int, name string) { t.setName(pid, -1, name) }
 
 // SetThreadName names a (pid, tid) track for the exported trace.
-func (t *Tracer) SetThreadName(pid, tid int, name string) {
+func (t *Tracer) SetThreadName(pid, tid int, name string) { t.setName(pid, tid, name) }
+
+func (t *Tracer) setName(pid, tid int, name string) {
 	t.mu.Lock()
-	t.thrName[threadKey(pid, tid)] = name
+	t.names[[2]int{pid, tid}] = name
 	t.mu.Unlock()
 }
 
@@ -110,7 +101,7 @@ func (t *Tracer) push(ev Event) {
 // Complete records the span [ts, ts+dur) as one complete ('X') event. A
 // nil or disabled tracer records nothing.
 func (t *Tracer) Complete(pid, tid int, name, cat string, ts, dur uint64, args ...Arg) {
-	if t == nil || Disabled() {
+	if t == nil || !On() {
 		return
 	}
 	t.mu.Lock()
@@ -150,24 +141,18 @@ func (t *Tracer) Reset() {
 // first (processes, then threads, each sorted), then events oldest-first.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	t.mu.Lock()
-	procs := make([]int, 0, len(t.procName))
-	for pid := range t.procName {
-		procs = append(procs, pid)
-	}
-	sort.Ints(procs)
-	thrs := make([]uint64, 0, len(t.thrName))
-	for key := range t.thrName {
-		thrs = append(thrs, key)
-	}
-	sort.Slice(thrs, func(i, j int) bool { return thrs[i] < thrs[j] })
-	var tracks []Track
-	for _, pid := range procs {
-		tracks = append(tracks, Track{PID: pid, TID: -1, Name: t.procName[pid]})
-	}
-	for _, key := range thrs {
-		tracks = append(tracks, Track{PID: int(int32(key >> 32)), TID: int(int32(key)), Name: t.thrName[key]})
+	tracks := make([]Track, 0, len(t.names))
+	for id, name := range t.names {
+		tracks = append(tracks, Track{PID: id[0], TID: id[1], Name: name})
 	}
 	t.mu.Unlock()
+	sort.Slice(tracks, func(i, j int) bool {
+		a, b := tracks[i], tracks[j]
+		if (a.TID < 0) != (b.TID < 0) {
+			return a.TID < 0
+		}
+		return a.PID < b.PID || a.PID == b.PID && a.TID < b.TID
+	})
 	return WriteChrome(w, tracks, t.Events())
 }
 

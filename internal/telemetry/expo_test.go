@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ufork/internal/kernel"
@@ -158,6 +159,43 @@ func TestSanitize(t *testing.T) {
 	} {
 		if got := sanitize(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestHistogramRenderedUnderLoad renders a histogram while another
+// goroutine keeps observing into it, as a live /metrics scrape does
+// during a served run, and lints every rendering: each one must be a
+// consistent histogram, with _count equal to its +Inf bucket.
+func TestHistogramRenderedUnderLoad(t *testing.T) {
+	h := obs.NewHistogram([]uint64{10, 100, 1000})
+	e := Exposition{Hists: map[string]*obs.Histogram{"lock.hold": h}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := uint64(0); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(v % 2000)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var b bytes.Buffer
+	for i := 0; i < 2000; i++ {
+		b.Reset()
+		if err := WriteMetrics(&b, e); err != nil {
+			t.Fatal(err)
+		}
+		if errs := Lint(&b); len(errs) != 0 {
+			t.Fatalf("rendering %d under concurrent observation fails lint: %v", i, errs)
 		}
 	}
 }
