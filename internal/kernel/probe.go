@@ -134,20 +134,24 @@ func (k *Kernel) frameOwnerChange(p *Proc, va uint64, oldPFN tmem.PFN, mode int,
 // workers copy into frames allocated before the fan-out — so curPID is
 // stable here.
 func (k *Kernel) frameEvent(alloc bool, pfn tmem.PFN) {
-	kind := flight.KindFrameAlloc
-	if !alloc {
-		kind = flight.KindFrameFree
-		k.Memmap.OnFree(pfn)
-	} else if k.Memmap.On() {
-		pid, gen := k.curPID, 0
-		if c := k.forkChild; c != nil {
-			// Eager fork copies run on the parent's behalf but
-			// materialize the child's image.
-			pid, gen = c.PID, c.Gen
-		} else if p, ok := k.procs[pid]; ok {
-			gen = p.Gen
+	kind := flight.KindFrameFree
+	if alloc {
+		kind = flight.KindFrameAlloc
+	}
+	if pl := k.Memmap; pl.On() {
+		if !alloc {
+			pl.OnFree(pfn)
+		} else {
+			pid, gen := k.curPID, 0
+			if c := k.forkChild; c != nil {
+				// Eager fork copies run on the parent's behalf but
+				// materialize the child's image.
+				pid, gen = c.PID, c.Gen
+			} else if p, ok := k.procs[pid]; ok {
+				gen = p.Gen
+			}
+			pl.OnAlloc(pfn, int32(pid), gen, k.memPhase)
 		}
-		k.Memmap.OnAlloc(pfn, int32(pid), gen, k.memPhase)
 	}
 	k.emit(k.Eng.Now(), k.curPID, kind, [3]uint64{uint64(pfn)})
 }
